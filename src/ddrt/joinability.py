@@ -10,12 +10,16 @@ kept in the traces only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import combinations
 
 from .errors import ResourceLimitError
 from .rewriting import DEFAULT_NODE_BUDGET, TRS, one_step_reducts
 from .terms import Position, Term
 
 Trace = tuple[tuple[Position, Term], ...]
+Seq = tuple[int, ...]
+Key = tuple[Seq, Seq]
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,36 +67,72 @@ def _label_reachable(
     return reached
 
 
+def _join_candidates(
+    R: TRS, s: Term, t: Term, k: int, budget: int
+) -> dict[Key, tuple[Term, Trace, Trace]]:
+    """Every k-join of (s, t) by label sequences, with the first meet and
+    traces found for each."""
+    left = _label_reachable(R, s, k, budget)
+    right = _label_reachable(R, t, k, budget)
+    candidates: dict[Key, tuple[Term, Trace, Trace]] = {}
+    for meet in left.keys() & right.keys():
+        for lseq, ltrace in left[meet].items():
+            for rseq, rtrace in right[meet].items():
+                candidates.setdefault((lseq, rseq), (meet, ltrace, rtrace))
+    return candidates
+
+
+def _order(key: Key) -> tuple[int, Key]:
+    return len(key[0]) + len(key[1]), key
+
+
+def _minimal_keys(keys) -> list[Key]:
+    """The keys into which no other key embeds componentwise.
+
+    A key is dominated exactly when some pair of its subsequences, other than
+    itself, is a key too, so each key costs a few set lookups instead of a
+    scan over all other keys.
+    """
+    by_left: dict[Seq, set[Seq]] = {}
+    for lseq, rseq in keys:
+        by_left.setdefault(lseq, set()).add(rseq)
+
+    @cache
+    def proper_subsequences(seq: Seq) -> frozenset[Seq]:
+        return frozenset(c for n in range(len(seq)) for c in combinations(seq, n))
+
+    def dominated(lseq: Seq, rseq: Seq) -> bool:
+        rbelow = proper_subsequences(rseq)
+        return not by_left[lseq].isdisjoint(rbelow) or any(
+            rights is not None and (rseq in rights or not rights.isdisjoint(rbelow))
+            for rights in map(by_left.get, proper_subsequences(lseq))
+        )
+
+    return [key for key in keys if not dominated(*key)]
+
+
 def join_instances(
     R: TRS, s: Term, t: Term, k: int, budget: int = DEFAULT_NODE_BUDGET
 ) -> list[JoinInstance]:
     """All minimal k-join instances of (s, t), deduplicated by label sequences."""
-    left = _label_reachable(R, s, k, budget)
-    right = _label_reachable(R, t, k, budget)
-    candidates: dict[tuple[tuple[int, ...], tuple[int, ...]], JoinInstance] = {}
-    for meet in left.keys() & right.keys():
-        for lseq, ltrace in left[meet].items():
-            for rseq, rtrace in right[meet].items():
-                key = (lseq, rseq)
-                if key not in candidates:
-                    candidates[key] = JoinInstance(lseq, rseq, meet, ltrace, rtrace)
-    minimal = [
-        inst
-        for key, inst in candidates.items()
-        if not any(
-            other != key
-            and embedding_leq(other[0], key[0])
-            and embedding_leq(other[1], key[1])
-            for other in candidates
-        )
+    candidates = _join_candidates(R, s, t, k, budget)
+    return [
+        JoinInstance(*key, *candidates[key])
+        for key in sorted(_minimal_keys(candidates), key=_order)
     ]
-    minimal.sort(key=lambda i: (len(i.left_seq) + len(i.right_seq), i.seqs))
-    return minimal
 
 
 def joinable_within(
     R: TRS, s: Term, t: Term, k: int, budget: int = DEFAULT_NODE_BUDGET
 ) -> JoinInstance | None:
-    """Some k-join instance of (s, t), or None if none exists within the bound."""
-    instances = join_instances(R, s, t, k, budget)
-    return instances[0] if instances else None
+    """The least k-join instance of (s, t) by total length, then label
+    sequences, or None if none exists within the bound.
+
+    It is always minimal, since anything embedding into it is shorter, so it
+    equals ``join_instances(R, s, t, k, budget)[0]``.
+    """
+    candidates = _join_candidates(R, s, t, k, budget)
+    if not candidates:
+        return None
+    key = min(candidates, key=_order)
+    return JoinInstance(*key, *candidates[key])

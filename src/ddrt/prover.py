@@ -50,6 +50,10 @@ class Config:
             raise ValueError("join bound k must be nonnegative")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
+        for name in ("dim_max", "coef_max", "node_budget", "search_budget",
+                     "nc_budget", "instance_cap"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 def check_orthogonal(R: TRS) -> Verdict:
@@ -228,6 +232,9 @@ def prove(R: TRS, cfg: Config | None = None) -> Verdict:
             verdict = _CRITERIA[name](R, cfg)
         except ResourceLimitError as e:
             verdict = maybe(name, reason="resource limit", detail=str(e))
+        except RecursionError as e:
+            # terms nested deeper than the interpreter's recursion limit
+            verdict = maybe(name, reason="recursion limit", detail=str(e))
         if verdict.kind != MAYBE:
             return verdict
         reasons[name] = verdict.details

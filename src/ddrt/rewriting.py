@@ -81,6 +81,14 @@ class TRS:
                             )
         return sig
 
+    @cached_property
+    def by_root(self) -> dict[str, tuple[Rule, ...]]:
+        """Rules grouped by the root symbol of their left-hand side, in file order."""
+        index: dict[str, list[Rule]] = {}
+        for r in self.rules:
+            index.setdefault(r.lhs.symbol, []).append(r)
+        return {f: tuple(rs) for f, rs in index.items()}
+
     def __len__(self) -> int:
         return len(self.rules)
 
@@ -140,10 +148,11 @@ def rename_apart(r: Rule, taken: set[str]) -> Rule:
 def one_step_reducts(R: TRS, t: Term) -> set[tuple[int, Position, Term]]:
     """All (rule index, position, reduct) triples of one-step rewriting."""
     out: set[tuple[int, Position, Term]] = set()
+    by_root = R.by_root
     for p, s in iter_positions(t):
         if isinstance(s, Var):
             continue
-        for r in R.rules:
+        for r in by_root.get(s.symbol, ()):
             sigma = match(r.lhs, s)
             if sigma is not None:
                 out.add((r.index, p, replace_at(t, p, apply_subst(sigma, r.rhs))))
@@ -196,8 +205,11 @@ def closed_reducts(
 
 
 def is_normal_form(R: TRS, t: Term) -> bool:
+    by_root = R.by_root
     for _, s in iter_positions(t):
-        if isinstance(s, Fun) and any(match(r.lhs, s) is not None for r in R.rules):
+        if isinstance(s, Fun) and any(
+            match(r.lhs, s) is not None for r in by_root.get(s.symbol, ())
+        ):
             return False
     return True
 

@@ -9,7 +9,6 @@ the two rule indices coincide or ``a > b`` holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Optional
 
 from .critical_pairs import critical_pair_of, overlaps
@@ -98,19 +97,39 @@ def disj(parts: Iterable[Formula]) -> Formula:
 LevelMap = dict[int, int]
 
 
-def evaluate(f: Formula, levels: LevelMap) -> bool:
+def evaluate(f: Formula, levels: LevelMap) -> Optional[bool]:
+    """f under a level map, in three-valued (Kleene) logic.
+
+    An atom is decided only once both of its indices have a level; None
+    means the value depends on levels not yet given.
+    """
+    if isinstance(f, (Gt, Geq)):
+        a, b = levels.get(f.a), levels.get(f.b)
+        if a is None or b is None:
+            return None
+        return a > b or (isinstance(f, Geq) and f.a == f.b)
+    if isinstance(f, And):
+        value: Optional[bool] = True
+        for p in f.parts:
+            v = evaluate(p, levels)
+            if v is False:
+                return False
+            if v is None:
+                value = None
+        return value
+    if isinstance(f, Or):
+        value = False
+        for p in f.parts:
+            v = evaluate(p, levels)
+            if v:
+                return True
+            if v is None:
+                value = None
+        return value
     if isinstance(f, Top):
         return True
     if isinstance(f, Bottom):
         return False
-    if isinstance(f, And):
-        return all(evaluate(p, levels) for p in f.parts)
-    if isinstance(f, Or):
-        return any(evaluate(p, levels) for p in f.parts)
-    if isinstance(f, Gt):
-        return levels.get(f.a, 0) > levels.get(f.b, 0)
-    if isinstance(f, Geq):
-        return f.a == f.b or levels.get(f.a, 0) > levels.get(f.b, 0)
     raise TypeError(f)
 
 
@@ -179,80 +198,49 @@ def build_rl(
     return conj(conjuncts), witnesses
 
 
-def _solve_by_enumeration(f: Formula, involved: list[int]) -> Optional[LevelMap]:
+def solve_precedence(f: Formula, n_rules: int) -> Optional[LevelMap]:
+    """A level map over all rule indices satisfying f, or None if unsatisfiable.
+
+    Depth-first search gives the involved indices, in increasing order, the
+    levels 0 to m-1 (m the number of involved indices) and drops a partial
+    map as soon as f is false under it. The least satisfying map uses every
+    level below its highest, since closing a gap keeps f true and makes the
+    map smaller, so a partial map whose gaps outnumber the indices still
+    without a level is dropped too. Only branches without that map are
+    dropped, so the map found is the lexicographically least one. Indices
+    not in f get level 0.
+    """
+    involved = sorted(atom_indices(f))
     m = len(involved)
-    for levels in product(range(m), repeat=m):
-        assignment = dict(zip(involved, levels))
-        if evaluate(f, assignment):
-            return assignment
-    return None
+    levels: LevelMap = {}
+    uses = [0] * m  # how many indices in the partial map sit at each level
 
-
-def _solve_by_backtracking(f: Formula, involved: list[int]) -> Optional[LevelMap]:
-    # complete search over atom choices: pick one disjunct per Or, keep the
-    # chosen strict edges acyclic, then read levels off the resulting DAG
-    succ: dict[int, set[int]] = {i: set() for i in involved}
-
-    def reaches(a: int, b: int, seen: set[int]) -> bool:
-        if a == b:
-            return True
-        seen.add(a)
-        return any(c not in seen and reaches(c, b, seen) for c in succ[a])
-
-    def solve(goals: list[Formula]) -> bool:
-        if not goals:
-            return True
-        g, rest = goals[0], goals[1:]
-        if isinstance(g, Top):
-            return solve(rest)
-        if isinstance(g, Bottom):
+    def extend(i: int, top: int, distinct: int) -> bool:
+        value = evaluate(f, levels)
+        if value is False:
             return False
-        if isinstance(g, And):
-            return solve(list(g.parts) + rest)
-        if isinstance(g, Or):
-            return any(solve([p] + rest) for p in g.parts)
-        if isinstance(g, Geq) and g.a == g.b:
-            return solve(rest)
-        a, b = g.a, g.b
-        if a == b:
-            return False
-        if reaches(b, a, set()):
-            return False
-        added = b not in succ[a]
-        if added:
-            succ[a].add(b)
-        if solve(rest):
+        if value is True:
+            # the least completion puts every index left at level 0
+            levels.update((j, 0) for j in involved[i:])
             return True
-        if added:
-            succ[a].remove(b)
+        for level in range(m):
+            fresh = uses[level] == 0
+            new_top = max(top, level)
+            if new_top + 1 - distinct - fresh > m - i - 1:
+                continue  # more gaps than indices left to fill them
+            levels[involved[i]] = level
+            uses[level] += 1
+            found = extend(i + 1, new_top, distinct + fresh)
+            uses[level] -= 1
+            if found:
+                return True
+        del levels[involved[i]]
         return False
 
-    if not solve([f]):
-        return None
-
-    levels: LevelMap = {}
-
-    def height(a: int) -> int:
-        if a not in levels:
-            levels[a] = 1 + max((height(b) for b in succ[a]), default=-1)
-        return levels[a]
-
-    for i in involved:
-        height(i)
-    return levels
-
-
-def solve_precedence(f: Formula, n_rules: int) -> Optional[LevelMap]:
-    """A level map over all rule indices satisfying f, or None if unsatisfiable."""
-    involved = sorted(atom_indices(f))
-    if len(involved) <= 7:
-        partial = _solve_by_enumeration(f, involved)
-    else:
-        partial = _solve_by_backtracking(f, involved)
-    if partial is None:
+    if not extend(0, -1, 0):
         return None
     full = {i: 0 for i in range(n_rules)}
-    full.update(partial)
+    full.update(levels)
     return full
 
 

@@ -34,6 +34,28 @@ def eval_formula(f: Formula, levels: dict[int, int]) -> bool:
     raise TypeError(f"unknown formula node {f!r}")
 
 
+def _indices(f: Formula) -> set[int]:
+    if isinstance(f, (Gt, Geq)):
+        return {f.a, f.b}
+    if isinstance(f, (And, Or)):
+        return set().union(*map(_indices, f.parts))
+    return set()
+
+
+def solve_by_enumeration(f: Formula, n_rules: int) -> dict[int, int] | None:
+    """The lexicographically least level map satisfying f, by trying every
+    map of the m involved indices (in increasing order) into levels 0..m-1;
+    indices not in f get level 0. None if no map satisfies f."""
+    involved = sorted(_indices(f))
+    m = len(involved)
+    assignment = dict.fromkeys(range(n_rules), 0)
+    for levels in product(range(m), repeat=m):
+        assignment.update(zip(involved, levels))
+        if eval_formula(f, assignment):
+            return assignment
+    return None
+
+
 def strict_orders(indices: tuple[int, ...]):
     """All strict partial orders on `indices` as sets of (greater, smaller)."""
     pairs = [(a, b) for a in indices for b in indices if a != b]

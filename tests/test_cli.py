@@ -113,6 +113,20 @@ class TestRunSingle:
     def test_invalid_timeout(self, capsys):
         assert run(["--timeout", "0", data_path("fork.trs")]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--criterion", "kb", "--coef-max", "0"],
+            ["--criterion", "kb", "--dim-max", "0"],
+            ["--criterion", "dd2", "--coef-max", "-1"],
+        ],
+    )
+    def test_invalid_search_bounds(self, argv, capsys):
+        assert run(argv + [data_path("stream.trs")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 class TestRunBatch:
     def test_counts_match_verdicts(self, tmp_path, capsys):

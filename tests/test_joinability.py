@@ -11,7 +11,8 @@ from ddrt.critical_pairs import critical_pairs
 from ddrt.errors import ResourceLimitError
 from ddrt.joinability import embedding_leq, join_instances, joinable_within
 from ddrt.rewriting import one_step_reducts
-from conftest import system, term
+from ddrt.tpdb import parse_trs
+from conftest import DATA_DIR, system, term
 from helpers import replay_join
 
 
@@ -189,3 +190,64 @@ def test_join_instances_match_brute_force_small_scale():
                 )
                 checked += 1
     assert checked > 1000
+
+
+STRING_SYSTEM = (
+    "a(x) -> c(x)",
+    "c(x) -> x",
+    "a(b(x)) -> a(c(x))",
+    "a(c(x)) -> b(b(x))",
+    "a(x) -> x",
+    "b(b(x)) -> b(x)",
+    "b(x) -> x",
+)
+
+
+def test_subsequence_filter_matches_quadratic_definition():
+    """On a string system with many join candidates per critical pair, the
+    minimal instances are exactly those of the pairwise filter, sorted by
+    total length and then label sequences."""
+    R = system(*STRING_SYSTEM)
+    candidates = 0
+    for cp in critical_pairs(R):
+        left = _paths(R, cp.left, 4)
+        right = _paths(R, cp.right, 4)
+        candidates += sum(m1 == m2 for _, m1 in left for _, m2 in right)
+        minimal = join_instances(R, cp.left, cp.right, 4)
+        assert {inst.seqs for inst in minimal} == brute_minimal_joins(
+            R, cp.left, cp.right, 4
+        )
+        keys = [(len(i.left_seq) + len(i.right_seq), i.seqs) for i in minimal]
+        assert keys == sorted(keys)
+    assert candidates > 300
+
+
+def _fixture_critical_pairs():
+    for path in sorted(DATA_DIR.glob("*.trs")):
+        R = parse_trs(path.read_text()).trs
+        for cp in critical_pairs(R):
+            yield path.name, R, cp
+
+
+def test_joinable_within_is_least_minimal_instance():
+    """joinable_within skips the minimality filter but returns the same
+    instance as the head of join_instances on every fixture critical pair."""
+    checked = 0
+    for name, R, cp in _fixture_critical_pairs():
+        for k in (2, 4):
+            try:
+                minimal = join_instances(R, cp.left, cp.right, k)
+            except ResourceLimitError:
+                with pytest.raises(ResourceLimitError):
+                    joinable_within(R, cp.left, cp.right, k)
+                continue
+            inst = joinable_within(R, cp.left, cp.right, k)
+            if not minimal:
+                assert inst is None, name
+                continue
+            head = minimal[0]
+            assert (inst.seqs, inst.meet, inst.left_trace, inst.right_trace) == (
+                head.seqs, head.meet, head.left_trace, head.right_trace
+            ), name
+            checked += 1
+    assert checked >= 10

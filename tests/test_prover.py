@@ -132,6 +132,25 @@ class TestProve:
         with pytest.raises(ValueError):
             Config(timeout=0)
 
+    @pytest.mark.parametrize(
+        "flag",
+        ["dim_max", "coef_max", "node_budget", "search_budget", "nc_budget",
+         "instance_cap"],
+    )
+    def test_config_rejects_values_below_one(self, flag):
+        with pytest.raises(ValueError, match=flag):
+            Config(**{flag: 0})
+        with pytest.raises(ValueError, match=flag):
+            Config(**{flag: -1})
+        assert getattr(Config(**{flag: 1}), flag) == 1
+
+    def test_recursion_error_becomes_maybe(self):
+        # the nc closure builds ever deeper terms until recursion overflows
+        R = system("a -> g(a)", "f(f(a)) -> g(f(a))")
+        v = prove(R, Config(criteria=("nc",)))
+        assert v.kind == "MAYBE"
+        assert v.details["per_criterion"]["nc"]["reason"] == "recursion limit"
+
     def test_criterion_independence(self, stream, diamond):
         # restricting to a single criterion yields that criterion's verdict
         v = prove(stream, Config(criteria=("kb",)))

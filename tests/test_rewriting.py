@@ -20,7 +20,14 @@ from ddrt.rewriting import (
     rename_apart,
     split_duplicating,
 )
-from ddrt.terms import apply_subst, term_size, variables
+from ddrt.terms import (
+    apply_subst,
+    iter_positions,
+    match,
+    replace_at,
+    term_size,
+    variables,
+)
 from conftest import system, term
 from helpers import make_random_term
 
@@ -91,6 +98,25 @@ class TestOneStepReducts:
         )
         t = term("inc(tl(:(0,inc(nat))))")
         assert one_step_reducts(stream, t) == one_step_reducts(renamed, t)
+
+    def test_root_index_keeps_file_order(self, stream_d):
+        assert {f: [r.index for r in rs] for f, rs in stream_d.by_root.items()} == {
+            "nat": [0], "hd": [1], "tl": [2], "inc": [3, 4], "d": [5],
+        }
+
+    def test_root_index_matches_scan_over_all_rules(self, nonlinear_f, stream_d):
+        rng = random.Random(99)
+        for R in (nonlinear_f, stream_d):
+            signature = sorted(R.signature.items())
+            for _ in range(50):
+                t = make_random_term(rng, signature, ["x"], 3)
+                scan = set()
+                for p, s in iter_positions(t):
+                    for r in R.rules:
+                        sigma = match(r.lhs, s)
+                        if sigma is not None:
+                            scan.add((r.index, p, replace_at(t, p, apply_subst(sigma, r.rhs))))
+                assert one_step_reducts(R, t) == scan
 
 
 class TestReductsWithin:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 from ddrt.rule_labeling import (
     BOTTOM,
@@ -20,8 +21,14 @@ from ddrt.rule_labeling import (
     evaluate,
     solve_precedence,
 )
-from conftest import system
-from helpers import eval_formula, eval_formula_order, strict_orders
+from ddrt.tpdb import parse_trs
+from conftest import DATA_DIR, system
+from helpers import (
+    eval_formula,
+    eval_formula_order,
+    solve_by_enumeration,
+    strict_orders,
+)
 
 
 class TestBuildPhi:
@@ -95,7 +102,7 @@ class TestSolvePrecedence:
         assert evaluate(Geq(0, 0), {0: 0}) is True
 
     def test_backtracking_solver_on_many_indices(self):
-        # more than 7 involved indices routes to the backtracking solver
+        # nine involved indices: the search backtracks over whole chains
         chain = conj([Gt(i, i + 1) for i in range(8)])
         levels = solve_precedence(chain, 9)
         assert levels is not None and eval_formula(chain, levels)
@@ -103,17 +110,68 @@ class TestSolvePrecedence:
         assert solve_precedence(contradiction, 9) is None
 
 
-def _random_formula(rng: random.Random, depth: int):
+def _random_formula(
+    rng: random.Random, depth: int, n: int = 3, constants: bool = True
+):
+    """A random formula over the rule indices 0..n-1."""
     if depth == 0 or rng.random() < 0.4:
-        kind = rng.randrange(4)
+        kind = rng.randrange(0 if constants else 2, 4)
         if kind == 0:
             return TOP
         if kind == 1:
             return BOTTOM
-        a, b = rng.randrange(3), rng.randrange(3)
+        a, b = rng.randrange(n), rng.randrange(n)
         return Gt(a, b) if kind == 2 else Geq(a, b)
-    parts = [_random_formula(rng, depth - 1) for _ in range(rng.randint(2, 3))]
+    parts = [
+        _random_formula(rng, depth - 1, n, constants)
+        for _ in range(rng.randint(2, 3))
+    ]
     return conj(parts) if rng.random() < 0.5 else disj(parts)
+
+
+def test_solver_returns_the_enumeration_oracles_map():
+    """On 300 random formulas over up to six rules, the solver returns
+    exactly the lexicographically least level map, or None with it."""
+    rng = random.Random(2718)
+    satisfiable = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        f = _random_formula(rng, 4, n, constants=False)
+        expected = solve_by_enumeration(f, n)
+        assert solve_precedence(f, n) == expected, str(f)
+        satisfiable += expected is not None
+    assert 100 < satisfiable < 290
+
+
+def test_solver_returns_the_oracles_map_on_linear_fixtures():
+    checked = 0
+    for path in sorted(DATA_DIR.glob("*.trs")):
+        R = parse_trs(path.read_text()).trs
+        if not R.is_linear():
+            continue
+        for k in (2, 4):
+            formula, _ = build_rl(R, k)
+            assert solve_precedence(formula, len(R)) == solve_by_enumeration(
+                formula, len(R)
+            ), f"{path.name} at k={k}"
+            checked += 1
+    assert checked >= 4
+
+
+def test_unsatisfiable_string_system_is_fast():
+    """A string system whose constraint defeated a search over disjunct
+    choices: it has to come back unsatisfiable well within a second."""
+    R = system(
+        "b(a(x)) -> a(a(x))",
+        "a(x) -> b(a(x))",
+        "b(a(x)) -> x",
+        "a(a(x)) -> x",
+    )
+    formula, _ = build_rl(R, 4)
+    start = time.perf_counter()
+    assert solve_precedence(formula, len(R)) is None
+    assert time.perf_counter() - start < 1.0
+    assert solve_by_enumeration(formula, len(R)) is None
 
 
 def test_solver_agrees_with_brute_force_over_strict_orders():
