@@ -4,7 +4,6 @@ from .critical_pairs import (
     CriticalPair,
     Overlap,
     cps,
-    cps_nontrivial,
     critical_pairs,
     overlaps,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "build_rl",
     "check_rule_labeling",
     "cps",
-    "cps_nontrivial",
     "critical_pairs",
     "format_trs",
     "join_instances",

@@ -36,8 +36,6 @@ def _jsonify(obj):
         return str(obj)
     if isinstance(obj, TRS):
         return [str(r) for r in obj.rules]
-    if isinstance(obj, Rule):
-        return str(obj)
     if isinstance(obj, Overlap):
         return {
             "inner": obj.inner.index,

@@ -109,26 +109,18 @@ def _steps_to_trs(steps: list[tuple[Term, Term]]) -> TRS:
     return TRS(tuple(rules))
 
 
-def cps(R: TRS) -> TRS:
+def cps(R: TRS, exclude_trivial: bool = False) -> TRS:
     """The rewrite system of critical pair steps.
 
     Each overlap contributes both steps out of its source: the contraction of
-    the inner redex and the contraction by the outer rule.
+    the inner redex and the contraction by the outer rule. With
+    exclude_trivial, overlaps whose critical pair is trivial contribute
+    nothing.
     """
     steps: list[tuple[Term, Term]] = []
     for o in overlaps(R):
         cp = critical_pair_of(o)
-        steps.append((o.source, cp.left))
-        steps.append((o.source, cp.right))
-    return _steps_to_trs(steps)
-
-
-def cps_nontrivial(R: TRS) -> TRS:
-    """As cps, but overlaps whose critical pair is trivial contribute nothing."""
-    steps: list[tuple[Term, Term]] = []
-    for o in overlaps(R):
-        cp = critical_pair_of(o)
-        if cp.trivial:
+        if exclude_trivial and cp.trivial:
             continue
         steps.append((o.source, cp.left))
         steps.append((o.source, cp.right))

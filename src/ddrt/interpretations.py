@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ResourceLimitError
-from .rewriting import TRS, Rule
+from .rewriting import TRS, Rule, fresh_trs
 from .terms import Fun, Term, Var, iter_positions, match
 from .verdict import Verdict, maybe, yes
 
@@ -126,37 +126,60 @@ def _signature(rules: list[Rule]) -> dict[str, int]:
     return sig
 
 
-@lru_cache(maxsize=None)
-def _candidates(arity: int, dim: int, coef_max: int, const_max: int,
-                weight_cap: Optional[int] = None):
+@dataclass(frozen=True)
+class _Candidates:
     """Interpretation candidates for one symbol, sparsest first.
 
-    With a weight cap only candidates whose entries sum to at most the cap
-    are kept; this bounds the otherwise huge high-dimensional spaces.
+    Candidate i has entry sum weights[i], argument matrices mats[i] of shape
+    (arity, dim, dim) and constant consts[i]; both arrays are read-only.
     """
-    entries = range(coef_max + 1)
-    mats = [
-        tuple(
-            tuple(row[i * dim : (i + 1) * dim]) for i in range(dim)
-        )
-        for row in product(entries, repeat=dim * dim)
-    ]
-    mats = [m for m in mats if m[0][0] >= 1]
-    consts = [tuple(v) for v in product(range(const_max + 1), repeat=dim)]
 
-    def weight(combo, const):
-        return sum(x for m in combo for row in m for x in row) + sum(const)
+    weights: list[int]
+    mats: np.ndarray
+    consts: np.ndarray
 
-    out = [
-        (weight(combo, const), (combo, const))
-        for combo in product(mats, repeat=arity)
-        for const in consts
-        if weight_cap is None or weight(combo, const) <= weight_cap
-    ]
-    # sparse candidates first: solutions tend to use few nonzero entries, and
-    # the node budget cuts off the dense tail anyway
-    out.sort(key=lambda c: c[0])
-    return out
+    def function(self, i: int) -> tuple[tuple[Matrix, ...], Vector]:
+        # Python ints: numpy integers would print differently in proofs
+        mats = tuple(tuple(map(tuple, m)) for m in self.mats[i].tolist())
+        return mats, tuple(self.consts[i].tolist())
+
+
+@lru_cache(maxsize=None)
+def _candidates(arity: int, dim: int, coef_max: int, const_max: int,
+                weight_cap: Optional[int]) -> _Candidates:
+    """Every candidate whose entries sum to at most weight_cap (no cap when
+    None), ordered by weight and then lexicographically by the flat entries
+    (argument matrices row by row, then the constant).
+
+    Sparse candidates come first: solutions tend to use few nonzero entries,
+    and the node budget cuts off the dense tail anyway. Only prefixes that
+    still fit under the cap are extended, so the cap bounds the work.
+    """
+    matrix = [(1, coef_max)] + [(0, coef_max)] * (dim * dim - 1)
+    bounds = matrix * arity + [(0, const_max)] * dim
+    if weight_cap is None:
+        weight_cap = sum(hi for _, hi in bounds)
+    # least sum of the entries from position i on
+    floor = [0] * (len(bounds) + 1)
+    for i in range(len(bounds) - 1, -1, -1):
+        floor[i] = floor[i + 1] + bounds[i][0]
+    prefixes: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    for i, (lo, hi) in enumerate(bounds):
+        room = weight_cap - floor[i + 1]
+        prefixes = [
+            (prefix + (x,), total + x)
+            for prefix, total in prefixes
+            for x in range(lo, min(hi, room - total) + 1)
+        ]
+    prefixes.sort(key=lambda c: c[1])
+    flat = np.array([v for v, _ in prefixes], dtype=np.int64).reshape(
+        len(prefixes), len(bounds)
+    )
+    split = arity * dim * dim
+    mats = flat[:, :split].reshape(len(prefixes), arity, dim, dim)
+    consts = flat[:, split:]
+    mats.flags.writeable = consts.flags.writeable = False
+    return _Candidates([w for _, w in prefixes], mats, consts)
 
 
 def _rule_symbols(all_rules: list[Rule]) -> list[set[str]]:
@@ -198,33 +221,7 @@ def _assignment_plan(
     return order, completes_at, rules_at_depth
 
 
-def _search_positions(
-    strict_rules: list[Rule],
-    weak_rules: list[Rule],
-    dim: int,
-    coef_max: int,
-    const_max: Optional[int] = None,
-    budget: int = DEFAULT_SEARCH_BUDGET,
-    weight_extra: Optional[int] = None,
-) -> Optional[tuple[MatrixInterpretation, set[int]]]:
-    """Core search; the returned set holds positions into strict + weak.
-
-    Rule indices are not used for identification here because the two sides
-    of a relative problem (e.g. CPS(R) versus R) number their rules
-    independently. A weight_extra of w restricts each symbol to candidates
-    with entry sum at most arity + w (sparse search with vectorized rule
-    checks).
-    """
-    if const_max is None:
-        const_max = 2 * coef_max
-    if not strict_rules:
-        return None
-    return _search_batched(
-        strict_rules, weak_rules, dim, coef_max, const_max, budget, weight_extra
-    )
-
-
-def _search_batched(
+def search_interpretation(
     strict_rules: list[Rule],
     weak_rules: list[Rule],
     dim: int,
@@ -233,63 +230,65 @@ def _search_batched(
     budget: int,
     weight_extra: Optional[int],
 ) -> Optional[tuple[MatrixInterpretation, set[int]]]:
-    """Vectorized interpretation search.
+    """Find an interpretation weakly orienting every rule and strictly
+    orienting at least one strict rule.
+
+    Returns the interpretation and the positions into strict + weak of ALL
+    strictly oriented rules, or None when the bounded space holds no such
+    interpretation; rule indices are not used because the two sides of a
+    relative problem (e.g. CPS(R) versus R) number their rules independently.
+    Raises ResourceLimitError when the node budget runs out.
 
     Rule orientations are checked for all candidates of a symbol at once with
-    numpy (batch axis = candidate index), and the total entry weight is
-    iteratively deepened so sparse solutions surface long before the
-    candidate product is exhausted. With a weight_extra, each symbol is
-    limited to candidates whose entries sum to at most arity + weight_extra,
-    which keeps higher dimensions tractable.
+    numpy (batch axis = candidate index). A weight_extra of w limits each
+    symbol to candidates whose entries sum to at most arity + w, which keeps
+    higher dimensions tractable, and the total entry weight is then deepened
+    one step at a time so sparse solutions surface long before the candidate
+    product is exhausted.
     """
+    if not strict_rules:
+        return None
     all_rules = strict_rules + weak_rules
     sig = _signature(all_rules)
     rule_symbols = _rule_symbols(all_rules)
     n_strict = len(strict_rules)
 
-    raw = {
+    cands = {
         s: _candidates(
             sig[s], dim, coef_max, const_max,
             None if weight_extra is None else sig[s] + weight_extra,
         )
         for s in sig
     }
-    weights = {s: [w for w, _ in raw[s]] for s in sig}
-    mats: dict[str, np.ndarray] = {}
-    consts: dict[str, np.ndarray] = {}
-    for s, cands in raw.items():
-        n, arity = len(cands), sig[s]
-        if arity:
-            mats[s] = np.array(
-                [[[list(row) for row in m] for m in combo] for _, (combo, _) in cands],
-                dtype=np.int64,
-            )
-        else:
-            mats[s] = np.zeros((n, 0, dim, dim), dtype=np.int64)
-        consts[s] = np.array([list(const) for _, (_, const) in cands], dtype=np.int64)
-
     order, completes_at, rules_at_depth = _assignment_plan(
-        sig, rule_symbols, {s: len(raw[s]) for s in sig}
+        sig, rule_symbols, {s: len(cands[s].weights) for s in sig}
     )
     suffix_min = [0] * (len(order) + 1)
     for d in range(len(order) - 1, -1, -1):
-        suffix_min[d] = suffix_min[d + 1] + weights[order[d]][0]
+        suffix_min[d] = suffix_min[d + 1] + cands[order[d]].weights[0]
 
     chosen: dict[str, int] = {}  # symbol -> candidate index
     orientation: dict[int, str] = {}
     nodes = 0
     mask_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
+    def spend() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise ResourceLimitError(f"interpretation search exceeded {budget} nodes")
+
     def batch_forms(t: Term, batched: str) -> tuple[dict[str, np.ndarray], np.ndarray]:
         """Linear form of t where the batched symbol ranges over all its
         candidates; arrays carry a leading batch axis wherever it occurs."""
         if isinstance(t, Var):
             return {t.name: np.eye(dim, dtype=np.int64)}, np.zeros(dim, dtype=np.int64)
+        cand = cands[t.symbol]
         if t.symbol == batched:
-            m, const = mats[t.symbol], consts[t.symbol]
+            m, const = cand.mats, cand.consts
         else:
             i = chosen[t.symbol]
-            m, const = mats[t.symbol][i], consts[t.symbol][i]
+            m, const = cand.mats[i], cand.consts[i]
         coeffs: dict[str, np.ndarray] = {}
         for k, arg in enumerate(t.args):
             sub_coeffs, sub_const = batch_forms(arg, batched)
@@ -309,15 +308,12 @@ def _search_batched(
     def rule_masks(i: int, batched: str) -> tuple[np.ndarray, np.ndarray]:
         """Per-candidate weak/strict orientation masks for rule i, memoized on
         the assignments of the rule's other symbols."""
-        nonlocal nodes
         key = (i, batched, tuple(chosen[s] for s in other_syms[i, batched]))
         hit = mask_cache.get(key)
         if hit is not None:
             return hit
-        n = len(raw[batched])
-        nodes += 1
-        if nodes > budget:
-            raise ResourceLimitError(f"interpretation search exceeded {budget} nodes")
+        n = len(cands[batched].weights)
+        spend()
         rule = all_rules[i]
         lhs_coeffs, lhs_const = batch_forms(rule.lhs, batched)
         rhs_coeffs, rhs_const = batch_forms(rule.rhs, batched)
@@ -375,15 +371,12 @@ def _search_batched(
         last symbol orient rule i (strictly if requested)? Sound
         overapproximation: rows below the first can always be zero, so only
         row 0 of the last symbol's matrices matters."""
-        nonlocal nodes
         fixed = sorted(rule_symbols[i] - {last_sym, batched})
         key = (i, "exists", want_strict, batched, tuple(chosen[s] for s in fixed))
         hit = mask_cache.get(key)
         if hit is not None:
             return hit
-        nodes += 1
-        if nodes > budget:
-            raise ResourceLimitError(f"interpretation search exceeded {budget} nodes")
+        spend()
         lhs, rhs = root_only[i]
         left = [batch_forms(t, batched) for t in lhs.args]
         right = [batch_forms(t, batched) for t in rhs.args]
@@ -401,128 +394,71 @@ def _search_batched(
                 rx = sum(r @ c[x] for r, (c, _) in zip(rows, right) if x in c)
                 ok = ok & ((lx - rx) >= 0).all(axis=-1)
             exists = exists | ok
-        n = len(raw[batched])
+        n = len(cands[batched].weights)
         result = np.broadcast_to(exists, (n,))
         mask_cache[key] = result
         return result
 
-    def attempt(
-        target: int, cap: int
-    ) -> Optional[tuple[MatrixInterpretation, set[int]]]:
-        if cap < suffix_min[0]:
-            return None
+    cap_cut = False
 
-        def dfs(depth: int, rem: int) -> Optional[tuple[MatrixInterpretation, set[int]]]:
-            nonlocal nodes, cap_cut
-            if depth == len(order):
-                funcs = {s: raw[s][chosen[s]][1] for s in sig}
-                strict_set = {i for i, o in orientation.items() if o == STRICT}
-                return MatrixInterpretation(dim, funcs), strict_set
-            symbol = order[depth]
-            rules_here = rules_at_depth[depth]
-            ok = None
-            stricts = {}
-            for i in rules_here:
-                weak_mask, strict_mask = rule_masks(i, symbol)
-                mask = strict_mask if i == target else weak_mask
+    def dfs(target: int, depth: int, rem: int) -> Optional[tuple[MatrixInterpretation, set[int]]]:
+        nonlocal cap_cut
+        if depth == len(order):
+            funcs = {s: cands[s].function(chosen[s]) for s in sig}
+            strict_set = {i for i, o in orientation.items() if o == STRICT}
+            return MatrixInterpretation(dim, funcs), strict_set
+        symbol = order[depth]
+        rules_here = rules_at_depth[depth]
+        ok = None
+        stricts = {}
+        for i in rules_here:
+            weak_mask, strict_mask = rule_masks(i, symbol)
+            mask = strict_mask if i == target else weak_mask
+            ok = mask if ok is None else ok & mask
+            stricts[i] = strict_mask
+        if depth == last_depth - 1:
+            for i in rules_at_depth[last_depth]:
+                if root_only[i] is None:
+                    continue
+                mask = lookahead_mask(i, symbol, i == target)
                 ok = mask if ok is None else ok & mask
-                stricts[i] = strict_mask
-            if depth == last_depth - 1:
-                for i in rules_at_depth[last_depth]:
-                    if root_only[i] is None:
-                        continue
-                    mask = lookahead_mask(i, symbol, i == target)
-                    ok = mask if ok is None else ok & mask
-            if ok is not None:
-                survivors = np.nonzero(ok)[0].tolist()
-            else:
-                survivors = range(len(raw[symbol]))
-            w_sym = weights[symbol]
-            w_rem = rem - suffix_min[depth + 1]
-            for ci in survivors:
-                w = w_sym[ci]
-                if w > w_rem:
-                    cap_cut = True
-                    break
-                nodes += 1
-                if nodes > budget:
-                    raise ResourceLimitError(
-                        f"interpretation search exceeded {budget} nodes"
-                    )
-                chosen[symbol] = ci
-                for i in rules_here:
-                    orientation[i] = STRICT if stricts[i][ci] else WEAK
-                found = dfs(depth + 1, rem - w)
-                if found is not None:
-                    return found
-                for i in rules_here:
-                    orientation.pop(i, None)
-                del chosen[symbol]
-            return None
-
-        orientation.clear()
-        chosen.clear()
-        return dfs(0, cap)
-
-    targets = sorted(range(n_strict), key=lambda i: (completes_at[i], i))
-    max_weight = sum(weights[s][-1] for s in sig)
-    min_weight = sum(weights[s][0] for s in sig)
-    if weight_extra is None:
-        # full space: one sweep in sparsest-first candidate order
-        cap_cut = False
-        for target in targets:
-            found = attempt(target, max_weight)
+        w_sym = cands[symbol].weights
+        survivors = range(len(w_sym)) if ok is None else np.nonzero(ok)[0].tolist()
+        w_rem = rem - suffix_min[depth + 1]
+        for ci in survivors:
+            w = w_sym[ci]
+            if w > w_rem:
+                cap_cut = True
+                break
+            spend()
+            chosen[symbol] = ci
+            for i in rules_here:
+                orientation[i] = STRICT if stricts[i][ci] else WEAK
+            found = dfs(target, depth + 1, rem - w)
             if found is not None:
                 return found
+            for i in rules_here:
+                orientation.pop(i, None)
+            del chosen[symbol]
         return None
-    # capped space: iterative deepening on the total entry weight, so sparse
-    # solutions surface long before the candidate product is exhausted
-    for cap in range(min_weight, max_weight + 1):
+
+    targets = sorted(range(n_strict), key=lambda i: (completes_at[i], i))
+    max_weight = sum(cands[s].weights[-1] for s in sig)
+    # the full space needs a single sweep: at max_weight no branch is cut;
+    # a capped space is deepened one total weight at a time
+    caps = [max_weight] if weight_extra is None else range(suffix_min[0], max_weight + 1)
+    for cap in caps:
         cap_cut = False
         for target in targets:
-            found = attempt(target, cap)
+            orientation.clear()
+            chosen.clear()
+            found = dfs(target, 0, cap)
             if found is not None:
                 return found
         if not cap_cut:
             # no branch was cut off by the cap, so the space is exhausted
             return None
     return None
-
-
-def search_interpretation(
-    P: RelTermProblem,
-    dim: int,
-    coef_max: int,
-    const_max: Optional[int] = None,
-    budget: int = DEFAULT_SEARCH_BUDGET,
-) -> Optional[tuple[MatrixInterpretation, set[int]]]:
-    """Find an interpretation weakly orienting every rule of the problem and
-    strictly orienting at least one strict-side rule.
-
-    Returns the interpretation and the indices of ALL strictly oriented rules
-    (from both sides), or None when the bounded space holds no such
-    interpretation. Raises ResourceLimitError when the node budget runs out.
-    """
-    strict_rules = list(P.strict.rules)
-    weak_rules = list(P.weak.rules)
-    found = _search_positions(strict_rules, weak_rules, dim, coef_max, const_max, budget)
-    if found is None:
-        return None
-    interpretation, positions = found
-    all_rules = strict_rules + weak_rules
-    return interpretation, {all_rules[i].index for i in positions}
-
-
-def _fresh_trs(rules: list[Rule]) -> TRS:
-    """Re-index and deduplicate rules drawn from systems with clashing indices."""
-    seen: set[tuple[Term, Term]] = set()
-    fresh: list[Rule] = []
-    for r in rules:
-        key = (r.lhs, r.rhs)
-        if key not in seen:
-            seen.add(key)
-            fresh.append(Rule(len(fresh), r.lhs, r.rhs))
-    return TRS(tuple(fresh))
 
 
 def has_looping_rule(rules: list[Rule]) -> bool:
@@ -609,7 +545,7 @@ def prove_relative_termination(
         found = None
         for dim, cmax, constmax, extra in schedules(len(strict) + len(weak)):
             try:
-                found = _search_positions(
+                found = search_interpretation(
                     strict, weak, dim, cmax, constmax, budget, extra
                 )
             except ResourceLimitError as e:
@@ -636,7 +572,7 @@ def prove_relative_termination(
         return yes("relative-termination", chain=chain)
 
     # stalled: try termination of the remaining union outright
-    union = _fresh_trs(strict + weak)
+    union = fresh_trs(strict + weak)
     if weak and not has_looping_rule(list(union.rules)):
         sub = prove_relative_termination(
             RelTermProblem(union, TRS(())),

@@ -35,12 +35,6 @@ class JoinInstance:
         return self.left_seq, self.right_seq
 
 
-def embedding_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """True iff a is a (not necessarily contiguous) subsequence of b."""
-    it = iter(b)
-    return all(x in it for x in a)
-
-
 def _label_reachable(
     R: TRS, t: Term, k: int, budget: int
 ) -> dict[Term, dict[tuple[int, ...], Trace]]:

@@ -10,11 +10,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .critical_pairs import cps, cps_nontrivial, critical_pairs, overlaps
+from .critical_pairs import cps, critical_pairs, overlaps
 from .errors import ResourceLimitError
 from .interpretations import (
     RelTermProblem,
-    _fresh_trs,
     prove_relative_termination,
     prove_termination,
 )
@@ -22,6 +21,7 @@ from .joinability import joinable_within
 from .rewriting import (
     TRS,
     closed_reducts,
+    fresh_trs,
     is_normal_form,
     normalize,
     split_duplicating,
@@ -132,7 +132,7 @@ def check_dd_l1(R: TRS, cfg: Config) -> Verdict:
     if isinstance(joins, str):
         return maybe("dd-duplication-split", reason=joins)
     dup, nondup = split_duplicating(R)
-    strict = _fresh_trs(list(cps(R).rules) + list(dup.rules))
+    strict = fresh_trs(list(cps(R).rules) + list(dup.rules))
     rel = prove_relative_termination(
         RelTermProblem(strict, nondup),
         cfg.dim_max,
@@ -159,7 +159,7 @@ def check_dd_l2(R: TRS, cfg: Config, exclude_trivial: bool = False) -> Verdict:
     joins = _joins_of_all_cps(R, cfg)
     if isinstance(joins, str):
         return maybe(name, reason=joins)
-    steps = cps_nontrivial(R) if exclude_trivial else cps(R)
+    steps = cps(R, exclude_trivial)
     rel = prove_relative_termination(
         RelTermProblem(steps, R),
         cfg.dim_max,

@@ -1,24 +1,21 @@
-"""Rewrite rules, the one-step relation, bounded reachability and multisteps."""
+"""Rewrite rules, the one-step relation, reachability and normalization."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 from .errors import ResourceLimitError
 from .terms import (
     Fun,
     Position,
-    Subst,
     Term,
     Var,
     apply_subst,
     iter_positions,
     match,
     rename_vars,
-    subterm_at,
     replace_at,
     variable_occurrences,
     variables,
@@ -95,12 +92,6 @@ class TRS:
     def __iter__(self):
         return iter(self.rules)
 
-    def rule(self, index: int) -> Rule:
-        for r in self.rules:
-            if r.index == index:
-                return r
-        raise KeyError(index)
-
     def is_left_linear(self) -> bool:
         return all(classify(r).left_linear for r in self.rules)
 
@@ -111,6 +102,18 @@ class TRS:
 def trs(pairs: list[tuple[Term, Term]]) -> TRS:
     """Build a TRS with dense indices from (lhs, rhs) pairs."""
     return TRS(tuple(Rule(i, l, r) for i, (l, r) in enumerate(pairs)))
+
+
+def fresh_trs(rules: list[Rule]) -> TRS:
+    """Re-index and deduplicate rules drawn from systems with clashing indices."""
+    seen: set[tuple[Term, Term]] = set()
+    fresh: list[Rule] = []
+    for r in rules:
+        key = (r.lhs, r.rhs)
+        if key not in seen:
+            seen.add(key)
+            fresh.append(Rule(len(fresh), r.lhs, r.rhs))
+    return TRS(tuple(fresh))
 
 
 def classify(r: Rule) -> RuleClass:
@@ -159,29 +162,6 @@ def one_step_reducts(R: TRS, t: Term) -> set[tuple[int, Position, Term]]:
     return out
 
 
-def reducts_within(
-    R: TRS, t: Term, k: int, budget: int = DEFAULT_NODE_BUDGET
-) -> set[Term]:
-    """All terms reachable from t in at most k steps (breadth-first)."""
-    seen: set[Term] = {t}
-    frontier = [t]
-    for _ in range(k):
-        nxt: list[Term] = []
-        for s in frontier:
-            for _, _, u in one_step_reducts(R, s):
-                if u not in seen:
-                    seen.add(u)
-                    if len(seen) > budget:
-                        raise ResourceLimitError(
-                            f"reducts_within exceeded {budget} terms"
-                        )
-                    nxt.append(u)
-        if not nxt:
-            break
-        frontier = nxt
-    return seen
-
-
 def closed_reducts(
     R: TRS, t: Term, budget: int = DEFAULT_NODE_BUDGET
 ) -> set[Term]:
@@ -227,48 +207,3 @@ def normalize(
         steps.append(step)
         t = step[2]
     raise ResourceLimitError(f"normalization exceeded {budget} steps")
-
-
-def multistep_reducts(
-    R: TRS, t: Term, budget: int = DEFAULT_NODE_BUDGET
-) -> set[Term]:
-    """The set of complete-development reducts of t.
-
-    Clauses: a variable develops to itself; developments are closed under
-    congruence on arguments; and an lhs instance develops to the rhs under a
-    pointwise development of the matching substitution.
-    """
-    memo: dict[Term, frozenset[Term]] = {}
-    count = 0
-
-    def go(s: Term) -> frozenset[Term]:
-        nonlocal count
-        cached = memo.get(s)
-        if cached is not None:
-            return cached
-        if isinstance(s, Var):
-            result = frozenset({s})
-            memo[s] = result
-            return result
-        arg_sets = [go(a) for a in s.args]
-        results: set[Term] = {
-            Fun(s.symbol, combo) for combo in product(*arg_sets)
-        } if s.args else {s}
-        for r in R.rules:
-            rule = rename_apart(r, variables(s))
-            sigma = match(rule.lhs, s)
-            if sigma is None:
-                continue
-            xs = sorted(variables(rule.lhs))
-            choice_sets = [go(sigma.get(x, Var(x))) for x in xs]
-            for choice in product(*choice_sets):
-                tau: Subst = dict(zip(xs, choice))
-                results.add(apply_subst(tau, rule.rhs))
-        count += len(results)
-        if count > budget:
-            raise ResourceLimitError(f"multistep_reducts exceeded {budget} nodes")
-        result = frozenset(results)
-        memo[s] = result
-        return result
-
-    return set(go(t))

@@ -59,12 +59,6 @@ def variable_occurrences(t: Term) -> list[str]:
     return out
 
 
-def term_size(t: Term) -> int:
-    if isinstance(t, Var):
-        return 1
-    return 1 + sum(term_size(a) for a in t.args)
-
-
 def iter_positions(t: Term) -> Iterator[tuple[Position, Term]]:
     """All (position, subterm) pairs in outermost-leftmost (preorder) order."""
     stack: list[tuple[Position, Term]] = [(EPSILON, t)]

@@ -26,7 +26,6 @@ class ParseError(Exception):
 class ParsedProblem:
     trs: TRS
     source_name: str
-    declared_variables: set[str]
 
 
 class _Parser:
@@ -117,15 +116,7 @@ def parse_trs(text: str, source_name: str = "<input>") -> ParsedProblem:
         system = TRS(tuple(rules))
     except ValueError as e:
         raise ParseError(str(e)) from e
-    return ParsedProblem(system, source_name, declared)
-
-
-def format_term(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if not t.args:
-        return t.symbol
-    return f"{t.symbol}({','.join(format_term(a) for a in t.args)})"
+    return ParsedProblem(system, source_name)
 
 
 def format_trs(R: TRS) -> str:
@@ -137,6 +128,6 @@ def format_trs(R: TRS) -> str:
         lines.append(f"(VAR {' '.join(sorted(vars_))})")
     lines.append("(RULES")
     for r in R.rules:
-        lines.append(f"  {format_term(r.lhs)} -> {format_term(r.rhs)}")
+        lines.append(f"  {r}")
     lines.append(")")
     return "\n".join(lines) + "\n"

@@ -11,10 +11,16 @@ import random
 from itertools import product
 
 from ddrt import TRS
+from ddrt.errors import ResourceLimitError
 from ddrt.interpretations import compare_forms, interpret_term
-from ddrt.rewriting import is_normal_form, one_step_reducts
+from ddrt.rewriting import (
+    DEFAULT_NODE_BUDGET,
+    is_normal_form,
+    one_step_reducts,
+    rename_apart,
+)
 from ddrt.rule_labeling import And, Bottom, Formula, Geq, Gt, Or, Top
-from ddrt.terms import Fun, Term, Var
+from ddrt.terms import Fun, Subst, Term, Var, apply_subst, match, variables
 
 
 def eval_formula(f: Formula, levels: dict[int, int]) -> bool:
@@ -174,3 +180,110 @@ def make_random_term(
 
 def check_normal_form(R: TRS, t: Term) -> bool:
     return is_normal_form(R, t)
+
+
+def term_size(t: Term) -> int:
+    if isinstance(t, Var):
+        return 1
+    return 1 + sum(term_size(a) for a in t.args)
+
+
+def embedding_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """True iff a is a (not necessarily contiguous) subsequence of b."""
+    it = iter(b)
+    return all(x in it for x in a)
+
+
+def reducts_within(
+    R: TRS, t: Term, k: int, budget: int = DEFAULT_NODE_BUDGET
+) -> set[Term]:
+    """All terms reachable from t in at most k steps (breadth-first)."""
+    seen: set[Term] = {t}
+    frontier = [t]
+    for _ in range(k):
+        nxt: list[Term] = []
+        for s in frontier:
+            for _, _, u in one_step_reducts(R, s):
+                if u not in seen:
+                    seen.add(u)
+                    if len(seen) > budget:
+                        raise ResourceLimitError(
+                            f"reducts_within exceeded {budget} terms"
+                        )
+                    nxt.append(u)
+        if not nxt:
+            break
+        frontier = nxt
+    return seen
+
+
+def multistep_reducts(
+    R: TRS, t: Term, budget: int = DEFAULT_NODE_BUDGET
+) -> set[Term]:
+    """The set of complete-development reducts of t.
+
+    Clauses: a variable develops to itself; developments are closed under
+    congruence on arguments; and an lhs instance develops to the rhs under a
+    pointwise development of the matching substitution.
+    """
+    memo: dict[Term, frozenset[Term]] = {}
+    count = 0
+
+    def go(s: Term) -> frozenset[Term]:
+        nonlocal count
+        cached = memo.get(s)
+        if cached is not None:
+            return cached
+        if isinstance(s, Var):
+            result = frozenset({s})
+            memo[s] = result
+            return result
+        arg_sets = [go(a) for a in s.args]
+        results: set[Term] = {
+            Fun(s.symbol, combo) for combo in product(*arg_sets)
+        } if s.args else {s}
+        for r in R.rules:
+            rule = rename_apart(r, variables(s))
+            sigma = match(rule.lhs, s)
+            if sigma is None:
+                continue
+            xs = sorted(variables(rule.lhs))
+            choice_sets = [go(sigma.get(x, Var(x))) for x in xs]
+            for choice in product(*choice_sets):
+                tau: Subst = dict(zip(xs, choice))
+                results.add(apply_subst(tau, rule.rhs))
+        count += len(results)
+        if count > budget:
+            raise ResourceLimitError(f"multistep_reducts exceeded {budget} nodes")
+        result = frozenset(results)
+        memo[s] = result
+        return result
+
+    return set(go(t))
+
+
+def candidates_by_filter(
+    arity: int, dim: int, coef_max: int, const_max: int, weight_cap: int | None
+) -> list[tuple[int, tuple]]:
+    """Interpretation candidates of one symbol as (weight, (matrices,
+    constant)), by enumerating the whole space, dropping what exceeds the
+    cap and sorting stably by weight."""
+    entries = range(coef_max + 1)
+    mats = [
+        tuple(tuple(row[i * dim : (i + 1) * dim]) for i in range(dim))
+        for row in product(entries, repeat=dim * dim)
+    ]
+    mats = [m for m in mats if m[0][0] >= 1]
+    consts = [tuple(v) for v in product(range(const_max + 1), repeat=dim)]
+
+    def weight(combo, const):
+        return sum(x for m in combo for row in m for x in row) + sum(const)
+
+    out = [
+        (weight(combo, const), (combo, const))
+        for combo in product(mats, repeat=arity)
+        for const in consts
+        if weight_cap is None or weight(combo, const) <= weight_cap
+    ]
+    out.sort(key=lambda c: c[0])
+    return out

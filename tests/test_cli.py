@@ -16,7 +16,7 @@ class TestParseTrs:
         problem = parse_trs("(VAR x y)(RULES hd(:(x,y)) -> x)")
         assert len(problem.trs) == 1
         assert problem.trs.signature == {"hd": 1, ":": 2}
-        assert problem.trs.rule(0).lhs == term("hd(:(x,y))")
+        assert problem.trs.rules[0].lhs == term("hd(:(x,y))")
 
     def test_stream_file_indices(self, stream):
         text = (DATA_DIR / "stream.trs").read_text()

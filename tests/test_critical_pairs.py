@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ddrt.critical_pairs import cps, cps_nontrivial, critical_pairs, overlaps
+from ddrt.critical_pairs import cps, critical_pairs, overlaps
 from ddrt.rewriting import one_step_reducts
 from conftest import system, term
 
@@ -95,15 +95,15 @@ class TestCps:
 class TestCpsNontrivial:
     def test_omits_trivial_overlap_steps(self, nonlinear_f):
         full = pairs_of(cps(nonlinear_f))
-        pruned = pairs_of(cps_nontrivial(nonlinear_f))
+        pruned = pairs_of(cps(nonlinear_f, exclude_trivial=True))
         assert (term("f(b,b)"), term("f(b,b)")) in full
         assert (term("f(b,b)"), term("f(b,b)")) not in pruned
         assert pruned <= full
 
     def test_equal_when_no_trivial_pairs(self, stream_d):
-        assert pairs_of(cps_nontrivial(stream_d)) == pairs_of(cps(stream_d))
+        assert pairs_of(cps(stream_d, exclude_trivial=True)) == pairs_of(cps(stream_d))
 
     def test_empty_system(self):
         from ddrt import TRS
 
-        assert len(cps_nontrivial(TRS(()))) == 0
+        assert len(cps(TRS(()), exclude_trivial=True)) == 0

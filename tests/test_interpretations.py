@@ -5,14 +5,19 @@ from __future__ import annotations
 import os
 import stat
 import tempfile
+import time
+from math import comb
 
 import pytest
 
 from ddrt import TRS, trs
 from ddrt.critical_pairs import cps
+from ddrt.cli import run
 from ddrt.interpretations import (
+    DEFAULT_SEARCH_BUDGET,
     MatrixInterpretation,
     RelTermProblem,
+    _candidates,
     compare_forms,
     external_termination_check,
     has_looping_rule,
@@ -23,7 +28,7 @@ from ddrt.interpretations import (
 )
 from ddrt.terms import apply_subst, replace_at
 from conftest import system, term
-from helpers import replay_relative
+from helpers import candidates_by_filter, replay_relative
 
 
 class TestInterpretTerm:
@@ -85,15 +90,66 @@ class TestCompareForms:
             MatrixInterpretation(dim=1, funcs={"f": ((((0,),),), (0,))})
 
 
+def _search(P: RelTermProblem, dim: int):
+    """One full-space search with coefficients up to 1 and constants up to 2."""
+    return search_interpretation(
+        list(P.strict.rules), list(P.weak.rules), dim, 1, 2, DEFAULT_SEARCH_BUDGET, None
+    )
+
+
+# every candidate shape the default schedules request, at coefficients 1 and 2:
+# dim 1 and 2 over the full space, dim 3 capped at arity + 3
+_SCHEDULE_SHAPES = (
+    [(a, 1, 1, c, None) for a in range(3) for c in range(2, 9)]
+    + [(a, 2, 1, c, None) for a in range(3) for c in (1, 2)]
+    + [(a, 3, 1, 1, a + 3) for a in range(3)]
+    + [(a, 1, 2, c, None) for a in range(3) for c in range(4, 9)]
+    + [(a, 2, 2, c, None) for a in range(3) for c in (2, 4)]
+)
+
+
+class TestCandidates:
+    @pytest.mark.parametrize("shape", _SCHEDULE_SHAPES, ids=str)
+    def test_same_list_and_order_as_filtering_the_whole_space(self, shape):
+        cands = _candidates(*shape)
+        built = [(w, cands.function(i)) for i, w in enumerate(cands.weights)]
+        assert built == candidates_by_filter(*shape)
+
+    def test_arrays_are_read_only_and_functions_are_python_ints(self):
+        cands = _candidates(2, 2, 1, 2, None)
+        assert not cands.mats.flags.writeable and not cands.consts.flags.writeable
+        mats, const = cands.function(len(cands.weights) - 1)
+        entries = [x for m in mats for row in m for x in row] + list(const)
+        assert all(type(x) is int for x in entries)
+
+    def test_capped_ternary_space_is_built_quickly(self):
+        # the whole space has 2**27 * 2**3 vectors; under the cap, the 3
+        # upper-left entries are 1 and at most 3 of the other 27 entries are
+        start = time.perf_counter()
+        cands = _candidates.__wrapped__(3, 3, 1, 1, 6)
+        assert time.perf_counter() - start < 2.0
+        assert len(cands.weights) == sum(comb(27, k) for k in range(4))
+        assert cands.weights == sorted(cands.weights) and cands.weights[-1] == 6
+
+
+def test_ternary_duplicating_system_kb_answers_within_timeout(tmp_path, capsys):
+    path = tmp_path / "ternary.trs"
+    path.write_text("(VAR x)(RULES f(a,b,x) -> f(x,x,x) c -> a c -> b)")
+    start = time.perf_counter()
+    assert run(["--criterion", "kb", "--timeout", "5", str(path)]) == 0
+    assert time.perf_counter() - start < 10.0
+    assert capsys.readouterr().out.splitlines()[0] == "MAYBE"
+
+
 class TestSearchInterpretation:
     def test_self_loop_has_no_orientation(self):
         P = RelTermProblem(system("a -> a"), TRS(()))
-        assert search_interpretation(P, 1, 1) is None
-        assert search_interpretation(P, 2, 1) is None
+        assert _search(P, 1) is None
+        assert _search(P, 2) is None
 
     def test_single_ground_rule(self):
         P = RelTermProblem(system("a -> b"), TRS(()))
-        found = search_interpretation(P, 1, 1)
+        found = _search(P, 1)
         assert found is not None
         M, removed = found
         assert removed == {0}
@@ -103,7 +159,7 @@ class TestSearchInterpretation:
 
     def test_cp_steps_of_extended_stream(self, stream_d):
         P = RelTermProblem(cps(stream_d), stream_d)
-        found = search_interpretation(P, 2, 1)
+        found = _search(P, 2)
         assert found is not None
         M, _ = found
         strictly_oriented = 0
@@ -119,7 +175,7 @@ class TestSearchInterpretation:
 
     def test_orientation_closed_under_contexts(self, stream_d):
         P = RelTermProblem(cps(stream_d), stream_d)
-        M, _ = search_interpretation(P, 2, 1)
+        M, _ = _search(P, 2)
         strict_rules = [
             r
             for r in P.strict.rules
@@ -138,9 +194,9 @@ class TestSearchInterpretation:
 
     def test_orientation_stable_under_substitution(self):
         P = RelTermProblem(system("f(x) -> g(x)"), TRS(()))
-        M, removed = search_interpretation(P, 1, 1)
+        M, removed = _search(P, 1)
         assert removed == {0}
-        rule = P.strict.rule(0)
+        rule = P.strict.rules[0]
         for image in (term("f(x)"), term("g(g(x))"), term("f(g(x))")):
             sigma = {"x": image}
             lhs = interpret_term(M, apply_subst(sigma, rule.lhs))
@@ -164,7 +220,7 @@ class TestHasLoopingRule:
 
     def test_embedded_instance(self, stream):
         # nat -> :(0, inc(nat)) embeds its own lhs
-        assert has_looping_rule([stream.rule(0)])
+        assert has_looping_rule([stream.rules[0]])
 
     def test_no_loop(self, diamond):
         assert not has_looping_rule(list(diamond.rules))

@@ -9,11 +9,11 @@ import pytest
 from ddrt import trs
 from ddrt.critical_pairs import critical_pairs
 from ddrt.errors import ResourceLimitError
-from ddrt.joinability import embedding_leq, join_instances, joinable_within
+from ddrt.joinability import join_instances, joinable_within
 from ddrt.rewriting import one_step_reducts
 from ddrt.tpdb import parse_trs
 from conftest import DATA_DIR, system, term
-from helpers import replay_join
+from helpers import embedding_leq, replay_join
 
 
 class TestEmbedding:

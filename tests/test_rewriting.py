@@ -12,11 +12,10 @@ from ddrt.errors import ResourceLimitError
 from ddrt.rewriting import (
     Rule,
     classify,
+    closed_reducts,
     is_normal_form,
-    multistep_reducts,
     normalize,
     one_step_reducts,
-    reducts_within,
     rename_apart,
     split_duplicating,
 )
@@ -25,11 +24,10 @@ from ddrt.terms import (
     iter_positions,
     match,
     replace_at,
-    term_size,
     variables,
 )
 from conftest import system, term
-from helpers import make_random_term
+from helpers import make_random_term, multistep_reducts, reducts_within, term_size
 
 
 class TestClassify:
@@ -142,6 +140,14 @@ class TestReductsWithin:
     def test_budget_raises(self, stream):
         with pytest.raises(ResourceLimitError):
             reducts_within(stream, term("nat"), 50, budget=10)
+
+    def test_closed_reducts_is_the_bounded_fixpoint(self, toggle, diamond):
+        for R, t in ((toggle, term("f(a)")), (diamond, term("a"))):
+            assert closed_reducts(R, t) == reducts_within(R, t, 10)
+
+    def test_closed_reducts_budget_raises(self, stream):
+        with pytest.raises(ResourceLimitError):
+            closed_reducts(stream, term("nat"), budget=10)
 
 
 class TestNormalize:
@@ -316,7 +322,7 @@ def test_development_decomposition_fails_without_left_linearity():
     """The known counterexample: a non-left-linear rule where a development
     admits neither decomposition."""
     R = system("f(x,x) -> a", "g(x) -> x", "a -> b")
-    rule = R.rule(0)
+    rule = R.rules[0]
     sigma = {"x": term("g(a)")}
     lsig = apply_subst(sigma, rule.lhs)
     t = term("f(a,g(b))")

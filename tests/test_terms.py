@@ -16,12 +16,11 @@ from ddrt.terms import (
     positions,
     replace_at,
     subterm_at,
-    term_size,
     unify,
     variables,
 )
 from conftest import term
-from helpers import make_random_term
+from helpers import make_random_term, term_size
 
 
 class TestPositions:
