@@ -197,7 +197,13 @@ def _assignment_plan(
 ) -> tuple[list[str], list[int], list[list[int]]]:
     """Symbol assignment order (complete the cheapest rule first, so that
     orientation constraints prune the search as early as possible), the depth
-    at which each rule completes, and the rules completing at each depth."""
+    at which each rule completes, and the rules completing at each depth.
+    Ties between symbols go by name, so the plan does not depend on how
+    strings hash."""
+
+    def by_count(s: str) -> tuple[int, str]:
+        return n_cands[s], s
+
     order: list[str] = []
     assigned: set[str] = set()
     remaining = [i for i in range(len(rule_symbols)) if rule_symbols[i]]
@@ -209,10 +215,10 @@ def _assignment_plan(
             return prod, i
 
         best = min(remaining, key=cost)
-        order.extend(sorted(rule_symbols[best] - assigned, key=lambda s: n_cands[s]))
+        order.extend(sorted(rule_symbols[best] - assigned, key=by_count))
         assigned |= rule_symbols[best]
         remaining = [i for i in remaining if rule_symbols[i] - assigned]
-    order.extend(sorted(sig.keys() - assigned, key=lambda s: n_cands[s]))
+    order.extend(sorted(sig.keys() - assigned, key=by_count))
     depth_of = {s: d for d, s in enumerate(order)}
     completes_at = [max(depth_of[s] for s in syms) for syms in rule_symbols]
     rules_at_depth: list[list[int]] = [[] for _ in order]

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +96,26 @@ class TestRunSingle:
         run(["--proof", data_path("stream.trs")])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_proof_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # equal candidate counts for f0, f1 and f2 used to be ordered by hash
+        path = tmp_path / "ties.trs"
+        path.write_text(
+            "(VAR x)(RULES f0(c0) -> c1 f0(c2(x)) -> c2(c1) "
+            "f1(c0) -> c2(c0) f2(c0) -> c2(c1))"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "ddrt.cli", "--criterion", "kb", "--proof",
+                 str(path)],
+                capture_output=True, text=True, env=env, check=True,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0].splitlines()[0] == "YES"
+        assert outputs[0] == outputs[1]
 
     def test_missing_file(self, capsys):
         assert run(["no-such-file.trs"]) == 2
