@@ -109,7 +109,7 @@ def _run_single(files: list[str], cfg: Config, proof: bool) -> int:
         return 2
     try:
         verdict = _prove_file(files[0], cfg)
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (ParseError, UnicodeError) as e:

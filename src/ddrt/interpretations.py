@@ -131,10 +131,11 @@ class _Candidates:
     """Interpretation candidates for one symbol, sparsest first.
 
     Candidate i has entry sum weights[i], argument matrices mats[i] of shape
-    (arity, dim, dim) and constant consts[i]; both arrays are read-only.
+    (arity, dim, dim) and constant consts[i]. Nothing here is writable, since
+    the cache hands the same object to every search.
     """
 
-    weights: list[int]
+    weights: tuple[int, ...]
     mats: np.ndarray
     consts: np.ndarray
 
@@ -179,7 +180,7 @@ def _candidates(arity: int, dim: int, coef_max: int, const_max: int,
     mats = flat[:, :split].reshape(len(prefixes), arity, dim, dim)
     consts = flat[:, split:]
     mats.flags.writeable = consts.flags.writeable = False
-    return _Candidates([w for _, w in prefixes], mats, consts)
+    return _Candidates(tuple(w for _, w in prefixes), mats, consts)
 
 
 def _rule_symbols(all_rules: list[Rule]) -> list[set[str]]:
@@ -407,7 +408,9 @@ def search_interpretation(
 
     cap_cut = False
 
-    def dfs(target: int, depth: int, rem: int) -> Optional[tuple[MatrixInterpretation, set[int]]]:
+    def dfs(
+        target: int, depth: int, rem: int
+    ) -> Optional[tuple[MatrixInterpretation, set[int]]]:
         nonlocal cap_cut
         if depth == len(order):
             funcs = {s: cands[s].function(chosen[s]) for s in sig}

@@ -48,7 +48,7 @@ class Config:
     def __post_init__(self) -> None:
         if self.k < 0:
             raise ValueError("join bound k must be nonnegative")
-        if self.timeout <= 0:
+        if not self.timeout > 0:  # also rejects NaN
             raise ValueError("timeout must be positive")
         for name in ("dim_max", "coef_max", "node_budget", "search_budget",
                      "nc_budget", "instance_cap"):

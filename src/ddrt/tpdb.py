@@ -79,6 +79,14 @@ class _Parser:
 
 
 def parse_trs(text: str, source_name: str = "<input>") -> ParsedProblem:
+    try:
+        return _parse(text, source_name)
+    except RecursionError as e:
+        # the parser and the term functions recurse once per nesting level
+        raise ParseError("term nested too deeply") from e
+
+
+def _parse(text: str, source_name: str) -> ParsedProblem:
     parser = _Parser(text)
     declared: set[str] = set()
     pairs: list[tuple[Term, Term]] = []

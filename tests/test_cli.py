@@ -15,6 +15,10 @@ from ddrt.tpdb import ParseError, format_trs, parse_trs
 from conftest import DATA_DIR, data_path, term
 
 
+def _deep_rules(depth: int) -> str:
+    return "(RULES " + "f(" * depth + "a" + ")" * depth + " -> a)"
+
+
 class TestParseTrs:
     def test_minimal(self):
         problem = parse_trs("(VAR x y)(RULES hd(:(x,y)) -> x)")
@@ -137,6 +141,22 @@ class TestRunSingle:
     def test_invalid_timeout(self, capsys):
         assert run(["--timeout", "0", data_path("fork.trs")]) == 2
 
+    def test_nan_timeout(self, capsys):
+        assert run(["--timeout", "nan", data_path("fork.trs")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_term_deeper_than_recursion_limit(self, tmp_path, capsys):
+        deep = tmp_path / "deep.trs"
+        deep.write_text(_deep_rules(3000))
+        assert run([str(deep)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "nested too deeply" in captured.err
+
+    def test_directory_as_file(self, tmp_path, capsys):
+        assert run([str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -169,6 +189,15 @@ class TestRunBatch:
         assert verdicts[str(tmp_path / "fork.trs")] == "NO"
         assert verdicts[str(tmp_path / "stream.trs")] == "YES"
         assert verdicts[str(tmp_path / "toggle.trs")] == "MAYBE"
+
+    def test_term_deeper_than_recursion_limit_is_an_error_line(self, tmp_path, capsys):
+        (tmp_path / "deep.trs").write_text(_deep_rules(3000))
+        (tmp_path / "fork.trs").write_text((DATA_DIR / "fork.trs").read_text())
+        assert run(["--batch", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        verdicts = dict(line.split("\t") for line in lines[:-1])
+        assert verdicts[str(tmp_path / "deep.trs")] == "ERROR"
+        assert verdicts[str(tmp_path / "fork.trs")] == "NO"
 
     def test_empty_directory(self, tmp_path, capsys):
         assert run(["--batch", str(tmp_path)]) == 2

@@ -124,12 +124,12 @@ class TestCandidates:
 
     def test_capped_ternary_space_is_built_quickly(self):
         # the whole space has 2**27 * 2**3 vectors; under the cap, the 3
-        # upper-left entries are 1 and at most 3 of the other 27 entries are
+        # upper-left entries are 1 and at most 3 of the other 27 entries are 1
         start = time.perf_counter()
         cands = _candidates.__wrapped__(3, 3, 1, 1, 6)
         assert time.perf_counter() - start < 2.0
         assert len(cands.weights) == sum(comb(27, k) for k in range(4))
-        assert cands.weights == sorted(cands.weights) and cands.weights[-1] == 6
+        assert list(cands.weights) == sorted(cands.weights) and cands.weights[-1] == 6
 
 
 def test_ternary_duplicating_system_kb_answers_within_timeout(tmp_path, capsys):

@@ -131,6 +131,8 @@ class TestProve:
             Config(k=-1)
         with pytest.raises(ValueError):
             Config(timeout=0)
+        with pytest.raises(ValueError, match="timeout"):
+            Config(timeout=float("nan"))
 
     @pytest.mark.parametrize(
         "flag",
