@@ -9,7 +9,6 @@ with all terms and rules rendered as strings.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -98,8 +97,7 @@ def _config_from(args: argparse.Namespace) -> Config:
 
 def _prove_file(path: str, cfg: Config) -> Verdict:
     text = Path(path).read_text(encoding="ascii")
-    problem = parse_trs(text, source_name=path)
-    return prove(problem.trs, cfg)
+    return prove(parse_trs(text).trs, cfg)
 
 
 def _run_single(files: list[str], cfg: Config, proof: bool) -> int:
@@ -130,6 +128,8 @@ def _batch_worker(item: tuple[str, Config]) -> tuple[str, str]:
 
 
 def _run_batch(directory: str, cfg: Config) -> int:
+    import concurrent.futures
+
     paths = sorted(str(p) for p in Path(directory).glob("*.trs"))
     if not paths:
         print(f"error: no .trs files in {directory}", file=sys.stderr)

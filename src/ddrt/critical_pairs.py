@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .rewriting import TRS, Rule, rename_apart
 from .terms import (
@@ -55,21 +56,32 @@ def _variants(r1: Rule, r2: Rule) -> bool:
 def overlaps(R: TRS) -> list[Overlap]:
     """All overlaps of R, in (outer index, position, inner index) order.
 
-    Root overlaps of a rule with a variant of itself are excluded.
+    Root overlaps of a rule with a variant of itself are excluded. They are
+    computed once per system; every call returns a fresh list.
     """
+    return list(_overlaps(R))
+
+
+@lru_cache(maxsize=1)
+def _overlaps(R: TRS) -> tuple[Overlap, ...]:
     out: list[Overlap] = []
     for outer in R.rules:
         fun_pos, _ = positions(outer.lhs)
         taken = variables(outer.lhs) | variables(outer.rhs)
+        renamed: dict[int, Rule] = {}  # inner rule index -> variant apart from outer
         for pos in sorted(fun_pos):
-            for inner in R.rules:
+            sub = subterm_at(outer.lhs, pos)
+            # a rule headed by another symbol never unifies with sub
+            for inner in R.by_root.get(sub.symbol, ()):
                 if pos == () and _variants(inner, outer):
                     continue
-                inner_variant = rename_apart(inner, taken)
-                mgu = unify(inner_variant.lhs, subterm_at(outer.lhs, pos))
+                variant = renamed.get(inner.index)
+                if variant is None:
+                    variant = renamed[inner.index] = rename_apart(inner, taken)
+                mgu = unify(variant.lhs, sub)
                 if mgu is not None:
-                    out.append(Overlap(inner_variant, pos, outer, mgu))
-    return out
+                    out.append(Overlap(variant, pos, outer, mgu))
+    return tuple(out)
 
 
 def critical_pair_of(o: Overlap) -> CriticalPair:

@@ -10,14 +10,10 @@ entrywise, strictly when the first constant component decreases.
 
 from __future__ import annotations
 
-import subprocess
-import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Optional
-
-import numpy as np
 
 from .errors import ResourceLimitError
 from .rewriting import TRS, Rule, fresh_trs
@@ -156,6 +152,8 @@ def _candidates(arity: int, dim: int, coef_max: int, const_max: int,
     and the node budget cuts off the dense tail anyway. Only prefixes that
     still fit under the cap are extended, so the cap bounds the work.
     """
+    import numpy as np
+
     matrix = [(1, coef_max)] + [(0, coef_max)] * (dim * dim - 1)
     bounds = matrix * arity + [(0, const_max)] * dim
     if weight_cap is None:
@@ -255,6 +253,9 @@ def search_interpretation(
     """
     if not strict_rules:
         return None
+    # numpy loads on the first search: criteria that never search do not pay for it
+    import numpy as np
+
     all_rules = strict_rules + weak_rules
     sig = _signature(all_rules)
     rule_symbols = _rule_symbols(all_rules)
@@ -331,9 +332,10 @@ def search_interpretation(
         const_diff = lhs_const - rhs_const
         ok = ok & (const_diff >= 0).all(axis=-1)
         strict = ok & (const_diff[..., 0] >= 1)
-        result = (np.broadcast_to(ok, (n,)), np.broadcast_to(strict, (n,)))
-        mask_cache[key] = result
-        return result
+        # ok starts at shape (n,), so both masks have one entry per candidate
+        ok.flags.writeable = strict.flags.writeable = False
+        mask_cache[key] = ok, strict
+        return ok, strict
 
     last_sym = order[-1]
     last_depth = len(order) - 1
@@ -488,6 +490,9 @@ def external_termination_check(
         return "yes"
     if not command:
         return "unknown"
+    import subprocess
+    import tempfile
+
     from .tpdb import format_trs
 
     try:

@@ -25,7 +25,6 @@ class ParseError(Exception):
 @dataclass
 class ParsedProblem:
     trs: TRS
-    source_name: str
 
 
 class _Parser:
@@ -78,15 +77,15 @@ class _Parser:
         return Fun(name)
 
 
-def parse_trs(text: str, source_name: str = "<input>") -> ParsedProblem:
+def parse_trs(text: str) -> ParsedProblem:
     try:
-        return _parse(text, source_name)
+        return _parse(text)
     except RecursionError as e:
         # the parser and the term functions recurse once per nesting level
         raise ParseError("term nested too deeply") from e
 
 
-def _parse(text: str, source_name: str) -> ParsedProblem:
+def _parse(text: str) -> ParsedProblem:
     parser = _Parser(text)
     declared: set[str] = set()
     pairs: list[tuple[Term, Term]] = []
@@ -124,7 +123,7 @@ def _parse(text: str, source_name: str) -> ParsedProblem:
         system = TRS(tuple(rules))
     except ValueError as e:
         raise ParseError(str(e)) from e
-    return ParsedProblem(system, source_name)
+    return ParsedProblem(system)
 
 
 def format_trs(R: TRS) -> str:

@@ -11,6 +11,7 @@ import random
 from itertools import product
 
 from ddrt import TRS
+from ddrt.critical_pairs import Overlap, _variants
 from ddrt.errors import ResourceLimitError
 from ddrt.interpretations import compare_forms, interpret_term
 from ddrt.rewriting import (
@@ -20,7 +21,18 @@ from ddrt.rewriting import (
     rename_apart,
 )
 from ddrt.rule_labeling import And, Bottom, Formula, Geq, Gt, Or, Top
-from ddrt.terms import Fun, Subst, Term, Var, apply_subst, match, variables
+from ddrt.terms import (
+    Fun,
+    Subst,
+    Term,
+    Var,
+    apply_subst,
+    match,
+    positions,
+    subterm_at,
+    unify,
+    variables,
+)
 
 
 def eval_formula(f: Formula, levels: dict[int, int]) -> bool:
@@ -286,4 +298,22 @@ def candidates_by_filter(
         if weight_cap is None or weight(combo, const) <= weight_cap
     ]
     out.sort(key=lambda c: c[0])
+    return out
+
+
+def overlaps_by_scan(R: TRS) -> list[Overlap]:
+    """All overlaps of R by trying every rule at every function position of
+    every left-hand side, renaming the inner rule apart each time."""
+    out: list[Overlap] = []
+    for outer in R.rules:
+        fun_pos, _ = positions(outer.lhs)
+        taken = variables(outer.lhs) | variables(outer.rhs)
+        for pos in sorted(fun_pos):
+            for inner in R.rules:
+                if pos == () and _variants(inner, outer):
+                    continue
+                inner_variant = rename_apart(inner, taken)
+                mgu = unify(inner_variant.lhs, subterm_at(outer.lhs, pos))
+                if mgu is not None:
+                    out.append(Overlap(inner_variant, pos, outer, mgu))
     return out

@@ -15,8 +15,25 @@ from ddrt.tpdb import ParseError, format_trs, parse_trs
 from conftest import DATA_DIR, data_path, term
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def _deep_rules(depth: int) -> str:
     return "(RULES " + "f(" * depth + "a" + ")" * depth + " -> a)"
+
+
+def _python(code: str, hash_seed: str = "0") -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports ddrt from this checkout."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+
+
+def _cli_under_hash_seeds(argv: list[str]) -> list[str]:
+    """The CLI's output for argv in fresh processes under hash seeds 0 and 1."""
+    code = f"import sys, ddrt.cli; sys.exit(ddrt.cli.run({argv!r}))"
+    return [_python(code, seed).stdout for seed in ("0", "1")]
 
 
 class TestParseTrs:
@@ -108,16 +125,7 @@ class TestRunSingle:
             "(VAR x)(RULES f0(c0) -> c1 f0(c2(x)) -> c2(c1) "
             "f1(c0) -> c2(c0) f2(c0) -> c2(c1))"
         )
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        outputs = []
-        for seed in ("0", "1"):
-            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-            proc = subprocess.run(
-                [sys.executable, "-m", "ddrt.cli", "--criterion", "kb", "--proof",
-                 str(path)],
-                capture_output=True, text=True, env=env, check=True,
-            )
-            outputs.append(proc.stdout)
+        outputs = _cli_under_hash_seeds(["--criterion", "kb", "--proof", str(path)])
         assert outputs[0].splitlines()[0] == "YES"
         assert outputs[0] == outputs[1]
 
@@ -170,6 +178,36 @@ class TestRunSingle:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+class TestStartup:
+    """A fresh process pays only for the layers its problem uses."""
+
+    HEAVY = ("numpy", "concurrent.futures")
+
+    def _loaded_after(self, call: str) -> tuple[str, list[str]]:
+        code = (
+            "import json, sys, ddrt.cli\n"
+            f"{call}\n"
+            f"json.dump([m for m in {self.HEAVY!r} if m in sys.modules], sys.stderr)"
+        )
+        proc = _python(code)
+        return proc.stdout, json.loads(proc.stderr)
+
+    def test_import_loads_nothing_heavy(self):
+        assert self._loaded_after("pass") == ("", [])
+
+    def test_orthogonal_proof_loads_nothing_heavy(self):
+        argv = ["--proof", data_path("ortho.trs")]
+        out, loaded = self._loaded_after(f"ddrt.cli.run({argv!r})")
+        assert out.splitlines()[0] == "YES"
+        assert loaded == []
+
+    def test_interpretation_search_loads_numpy(self):
+        argv = ["--criterion", "kb", "--proof", data_path("diamond.trs")]
+        out, loaded = self._loaded_after(f"ddrt.cli.run({argv!r})")
+        assert out.splitlines()[0] == "YES"
+        assert "numpy" in loaded
 
 
 class TestRunBatch:

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 from ddrt.critical_pairs import cps, critical_pairs, overlaps
-from ddrt.rewriting import one_step_reducts
-from conftest import system, term
+from ddrt.rewriting import one_step_reducts, rename_apart, trs
+from ddrt.terms import Var, variables
+from ddrt.tpdb import parse_trs
+from conftest import DATA_DIR, system, term
+from helpers import make_random_term, overlaps_by_scan
 
 
 def pairs_of(R):
@@ -37,6 +42,60 @@ class TestOverlaps:
     def test_no_root_self_overlap(self):
         # a rule never overlaps a renamed copy of itself at the root
         assert overlaps(system("f(x) -> g(x,x)")) == []
+
+
+def _described(found):
+    return [
+        (o.outer.index, o.pos, o.inner.index, str(o.inner),
+         {x: str(t) for x, t in o.mgu.items()})
+        for o in found
+    ]
+
+
+def _random_system(rng: random.Random):
+    """A small system over f/2, g/1, a, b; lhs variables may repeat, and a
+    variant of an earlier rule is sometimes appended."""
+    signature = [("f", 2), ("g", 1), ("a", 0), ("b", 0)]
+    pairs = []
+    n_rules = rng.randint(1, 5)
+    while len(pairs) < n_rules:
+        lhs = make_random_term(rng, signature, ["x", "y"], rng.randint(1, 3))
+        if isinstance(lhs, Var):
+            continue
+        rhs = make_random_term(rng, signature, sorted(variables(lhs)), rng.randint(0, 2))
+        pairs.append((lhs, rhs))
+        if rng.random() < 0.25:
+            variant = rename_apart(trs([(lhs, rhs)]).rules[0], {"x", "y"})
+            pairs.append((variant.lhs, variant.rhs))
+    return trs(pairs)
+
+
+class TestOverlapIndex:
+    """overlaps() tries only rules headed by the subterm's symbol and renames
+    each inner rule once per outer rule; the result must equal the scan."""
+
+    def test_data_files_match_scan(self):
+        for path in sorted(DATA_DIR.glob("*.trs")):
+            R = parse_trs(path.read_text()).trs
+            assert _described(overlaps(R)) == _described(overlaps_by_scan(R)), path.name
+
+    def test_random_systems_match_scan(self):
+        rng = random.Random(2009)
+        kinds = set()
+        for _ in range(200):
+            R = _random_system(rng)
+            assert _described(overlaps(R)) == _described(overlaps_by_scan(R)), [
+                str(r) for r in R.rules
+            ]
+            kinds.add(R.is_left_linear())
+        assert kinds == {True, False}
+
+    def test_fresh_list_per_call(self, nonlinear_f):
+        first = overlaps(nonlinear_f)
+        second = overlaps(nonlinear_f)
+        assert first == second and first is not second
+        first.clear()
+        assert overlaps(nonlinear_f) == second and len(second) == 4
 
 
 class TestCriticalPairs:
