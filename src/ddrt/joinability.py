@@ -69,9 +69,14 @@ def _join_candidates(
     left = _label_reachable(R, s, k, budget)
     right = _label_reachable(R, t, k, budget)
     candidates: dict[Key, tuple[Term, Trace, Trace]] = {}
-    for meet in left.keys() & right.keys():
-        for lseq, ltrace in left[meet].items():
-            for rseq, rtrace in right[meet].items():
+    # left is filled in a fixed breadth-first order over sorted reducts, so
+    # walking it (not a set of meets) keeps the first meet hash-independent
+    for meet, lefts in left.items():
+        rights = right.get(meet)
+        if rights is None:
+            continue
+        for lseq, ltrace in lefts.items():
+            for rseq, rtrace in rights.items():
                 candidates.setdefault((lseq, rseq), (meet, ltrace, rtrace))
     return candidates
 

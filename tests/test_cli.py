@@ -129,6 +129,18 @@ class TestRunSingle:
         assert outputs[0].splitlines()[0] == "YES"
         assert outputs[0] == outputs[1]
 
+    def test_rule_labeling_proof_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # two meets join the same label sequences; the first one found used
+        # to come from a set of terms
+        path = tmp_path / "meets.trs"
+        path.write_text(
+            "(VAR x)(RULES b(a(x)) -> a(a(x)) b(b(x)) -> x a(x) -> x "
+            "a(a(x)) -> b(b(x)) b(x) -> a(x))"
+        )
+        outputs = _cli_under_hash_seeds(["--criterion", "rl", "--proof", str(path)])
+        assert outputs[0].splitlines()[0] == "YES"
+        assert outputs[0] == outputs[1]
+
     def test_missing_file(self, capsys):
         assert run(["no-such-file.trs"]) == 2
         assert "error" in capsys.readouterr().err
