@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from ddrt.critical_pairs import cps, critical_pairs, overlaps
-from ddrt.rewriting import one_step_reducts, rename_apart, trs
+from ddrt.rewriting import Rule, one_step_reducts, rename_apart, trs
 from ddrt.terms import Var, variables
 from ddrt.tpdb import parse_trs
 from conftest import DATA_DIR, system, term
@@ -65,7 +65,7 @@ def _random_system(rng: random.Random):
         rhs = make_random_term(rng, signature, sorted(variables(lhs)), rng.randint(0, 2))
         pairs.append((lhs, rhs))
         if rng.random() < 0.25:
-            variant = rename_apart(trs([(lhs, rhs)]).rules[0], {"x", "y"})
+            variant = rename_apart(Rule(0, lhs, rhs), {"x", "y"})
             pairs.append((variant.lhs, variant.rhs))
     return trs(pairs)
 
