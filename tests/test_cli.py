@@ -22,18 +22,17 @@ def _deep_rules(depth: int) -> str:
     return "(RULES " + "f(" * depth + "a" + ")" * depth + " -> a)"
 
 
-def _python(code: str, hash_seed: str = "0") -> subprocess.CompletedProcess:
-    """Run code in a fresh interpreter that imports ddrt from this checkout."""
+def _python(args: list[str], hash_seed: str = "0") -> subprocess.CompletedProcess:
+    """Run the interpreter on args in a fresh process that imports ddrt from this checkout."""
     env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC)
     return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, *args], capture_output=True, text=True, env=env, check=True
     )
 
 
 def _cli_under_hash_seeds(argv: list[str]) -> list[str]:
-    """The CLI's output for argv in fresh processes under hash seeds 0 and 1."""
-    code = f"import sys, ddrt.cli; sys.exit(ddrt.cli.run({argv!r}))"
-    return [_python(code, seed).stdout for seed in ("0", "1")]
+    """The output of `python -m ddrt.cli argv` in fresh processes under hash seeds 0 and 1."""
+    return [_python(["-m", "ddrt.cli", *argv], seed).stdout for seed in ("0", "1")]
 
 
 class TestParseTrs:
@@ -198,13 +197,18 @@ class TestStartup:
     HEAVY = ("numpy", "concurrent.futures")
 
     def _loaded_after(self, call: str) -> tuple[str, list[str]]:
+        """The output of call, and the heavy modules loaded after it.
+
+        The module list is printed as JSON on the last line of stdout, so
+        warnings on stderr cannot disturb it.
+        """
         code = (
             "import json, sys, ddrt.cli\n"
             f"{call}\n"
-            f"json.dump([m for m in {self.HEAVY!r} if m in sys.modules], sys.stderr)"
+            f"print(json.dumps([m for m in {self.HEAVY!r} if m in sys.modules]))"
         )
-        proc = _python(code)
-        return proc.stdout, json.loads(proc.stderr)
+        *out, loaded = _python(["-c", code]).stdout.splitlines()
+        return "\n".join(out), json.loads(loaded)
 
     def test_import_loads_nothing_heavy(self):
         assert self._loaded_after("pass") == ("", [])
