@@ -79,6 +79,11 @@ class TRS:
         return sig
 
     @cached_property
+    def pumping(self) -> frozenset[int]:
+        """Indices of the rules that pump (see `pumps`)."""
+        return frozenset(r.index for r in self.rules if pumps(r))
+
+    @cached_property
     def by_root(self) -> dict[str, tuple[Rule, ...]]:
         """Rules grouped by the root symbol of their left-hand side, in file order."""
         index: dict[str, list[Rule]] = {}
@@ -148,6 +153,22 @@ def rename_apart(r: Rule, taken: set[str]) -> Rule:
     return Rule(r.index, rename_vars(r.lhs, mapping), rename_vars(r.rhs, mapping))
 
 
+def pumps(r: Rule) -> bool:
+    """Whether every term with an r-redex has infinitely many reducts.
+
+    A rule l -> r pumps when r has an instance lθ of l at a position p other
+    than the root. Proof: contracting a redex lσ at position q leaves the
+    redex lθσ at q·p; contracting that one leaves lθθσ at q·p·p, and so on.
+    The k-th term on this path has the position q·p^k, so the depths of the
+    terms reached grow without bound and infinitely many of them differ.
+    """
+    return any(p and match(r.lhs, s) is not None for p, s in iter_positions(r.rhs))
+
+
+def _step_order(step: tuple[int, Position, Term]) -> tuple[Position, int]:
+    return step[1], step[0]
+
+
 def one_step_reducts(R: TRS, t: Term) -> set[tuple[int, Position, Term]]:
     """All (rule index, position, reduct) triples of one-step rewriting."""
     out: set[tuple[int, Position, Term]] = set()
@@ -165,14 +186,24 @@ def one_step_reducts(R: TRS, t: Term) -> set[tuple[int, Position, Term]]:
 def closed_reducts(
     R: TRS, t: Term, budget: int = DEFAULT_NODE_BUDGET
 ) -> set[Term]:
-    """The full set of terms reachable from t; raises if it does not close
-    within the budget."""
+    """The full set of terms reachable from t.
+
+    Terms are visited breadth-first, each term's reducts by position and
+    then rule index. Raises `ResourceLimitError` when the set does not close
+    within the budget, and at the first step by a pumping rule: that step
+    shows the set is infinite (see `pumps`).
+    """
+    pumping = R.pumping
     seen: set[Term] = {t}
     frontier = [t]
     while frontier:
         nxt: list[Term] = []
         for s in frontier:
-            for _, _, u in one_step_reducts(R, s):
+            for i, _, u in sorted(one_step_reducts(R, s), key=_step_order):
+                if i in pumping:
+                    raise ResourceLimitError(
+                        f"reduct closure is infinite: rule {i} pumps"
+                    )
                 if u not in seen:
                     seen.add(u)
                     if len(seen) > budget:
@@ -203,7 +234,7 @@ def normalize(
         reducts = one_step_reducts(R, t)
         if not reducts:
             return t, steps
-        step = min(reducts, key=lambda x: (x[1], x[0]))
+        step = min(reducts, key=_step_order)
         steps.append(step)
         t = step[2]
     raise ResourceLimitError(f"normalization exceeded {budget} steps")

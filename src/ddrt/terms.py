@@ -32,9 +32,24 @@ class Fun(Term):
     args: tuple[Term, ...] = ()
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.symbol
-        return f"{self.symbol}({','.join(map(str, self.args))})"
+        # an explicit stack: proof terms may nest deeper than the recursion limit
+        parts: list[str] = []
+        stack: list[Term | str] = [self]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, str):
+                parts.append(t)
+            elif isinstance(t, Var):
+                parts.append(t.name)
+            elif t.args:
+                parts.append(t.symbol + "(")
+                stack.append(")")
+                for a in reversed(t.args[1:]):
+                    stack += (a, ",")
+                stack.append(t.args[0])
+            else:
+                parts.append(t.symbol)
+        return "".join(parts)
 
 
 Subst = dict[str, Term]

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,14 @@ class TestRunSingle:
         assert run(["--criterion", "kb", data_path("nested_g.trs")]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "MAYBE"
 
+    def test_nc_on_nested_g_within_a_quarter_second(self, capsys):
+        # g(a) -> g(g(a)) pumps, so nc cuts both closures at their first
+        # step instead of building 2000 terms each (about 0.7 s)
+        start = time.perf_counter()
+        assert run(["--criterion", "nc", data_path("nested_g.trs")]) == 0
+        assert time.perf_counter() - start < 0.25
+        assert capsys.readouterr().out.splitlines()[0] == "MAYBE"
+
     def test_proof_trace_is_json(self, capsys):
         assert run(["--proof", data_path("stream.trs")]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -171,6 +180,17 @@ class TestRunSingle:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "nested too deeply" in captured.err
+
+    @pytest.mark.parametrize("depth", [300, 900])
+    def test_proof_prints_deep_terms(self, depth, tmp_path):
+        # f(a) -> g^depth(a); a -> b: the proof holds terms depth levels deep
+        path = tmp_path / "deep.trs"
+        path.write_text("(RULES f(a) -> " + "g(" * depth + "a" + ")" * depth + " a -> b)")
+        out = _python(["-m", "ddrt.cli", "--proof", str(path)]).stdout
+        first, trace = out.split("\n", 1)
+        assert first == json.loads(trace)["verdict"]
+        # deeper terms overflow the recursive term hash inside the criteria
+        assert first == "NO" or depth > 300
 
     def test_directory_as_file(self, tmp_path, capsys):
         assert run([str(tmp_path)]) == 2

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from ddrt import Config, prove
@@ -104,6 +106,18 @@ class TestNonconfluence:
     def test_orthogonal_maybe(self, ortho, cfg):
         assert check_nonconfluence(ortho, cfg).kind == "MAYBE"
 
+    def test_pumping_closure_is_skipped_at_once(self):
+        # a -> g(a) pumps, so nc cuts every closure from a term with an `a`
+        # before it builds terms deep enough to overflow the recursion limit
+        R = system("a -> g(a)", "f(f(a)) -> g(f(a))")
+        start = time.perf_counter()
+        v = prove(R, Config(criteria=("nc",)))
+        assert time.perf_counter() - start < 1
+        assert v.kind == "MAYBE"
+        assert v.details["per_criterion"]["nc"]["reason"] == (
+            "no critical pair with disjoint closed reducts"
+        )
+
 
 class TestProve:
     def test_stream_via_rule_labeling(self, stream):
@@ -147,11 +161,20 @@ class TestProve:
         assert getattr(Config(**{flag: 1}), flag) == 1
 
     def test_recursion_error_becomes_maybe(self):
-        # the nc closure builds ever deeper terms until recursion overflows
-        R = system("a -> g(a)", "f(f(a)) -> g(f(a))")
+        # no rule pumps, so the nc closure builds ever deeper terms
+        # a, g(b), g(g(a)), ... until recursion overflows
+        R = system("a -> g(b)", "b -> g(a)", "f(a) -> c")
         v = prove(R, Config(criteria=("nc",)))
         assert v.kind == "MAYBE"
         assert v.details["per_criterion"]["nc"]["reason"] == "recursion limit"
+
+    def test_pumping_system_answers_yes_within_five_seconds(self):
+        # f(x) -> f(f(a)) pumps; without the cut, nc runs for about a minute
+        # into the recursion limit before rule labeling answers
+        R = system("f(f(y)) -> f(f(b))", "f(x) -> f(f(a))")
+        start = time.perf_counter()
+        assert prove(R).is_yes
+        assert time.perf_counter() - start < 5
 
     def test_criterion_independence(self, stream, diamond):
         # restricting to a single criterion yields that criterion's verdict

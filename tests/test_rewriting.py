@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ddrt import trs
-from ddrt.critical_pairs import cps
+from ddrt.critical_pairs import cps, critical_pairs
 from ddrt.errors import ResourceLimitError
 from ddrt.rewriting import (
     Rule,
@@ -16,6 +20,7 @@ from ddrt.rewriting import (
     is_normal_form,
     normalize,
     one_step_reducts,
+    pumps,
     rename_apart,
     split_duplicating,
 )
@@ -26,7 +31,8 @@ from ddrt.terms import (
     replace_at,
     variables,
 )
-from conftest import system, term
+from ddrt.tpdb import parse_trs
+from conftest import DATA_DIR, system, term
 from helpers import make_random_term, multistep_reducts, reducts_within, term_size
 
 
@@ -148,6 +154,135 @@ class TestReductsWithin:
     def test_closed_reducts_budget_raises(self, stream):
         with pytest.raises(ResourceLimitError):
             closed_reducts(stream, term("nat"), budget=10)
+
+
+class TestPumping:
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            "g(a) -> g(g(a))",
+            "nat -> :(0,inc(nat))",
+            "f(x) -> g(f(x))",
+            "f(c(x,y),z) -> d(f(c(y,x),f(y,z)))",
+            "f(x) -> g(f(a))",  # the instance need not keep x
+            "f(x,y) -> g(f(y,a))",  # f(s,t), g(f(t,a)), g(g(f(a,a))), ...
+        ],
+    )
+    def test_pumps(self, rule):
+        assert pumps(system(rule).rules[0])
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            "f(x) -> f(x)",  # only the root matches; the closure is {f(x)}
+            "f(x) -> f(g(x))",  # no instance of f(x) strictly inside
+            "f(g(x)) -> h(f(x))",
+            "a -> g(b)",
+        ],
+    )
+    def test_does_not_pump(self, rule):
+        assert not pumps(system(rule).rules[0])
+
+    def test_fixtures(self, nested_g, stream, toggle):
+        assert nested_g.pumping == {1}
+        assert stream.pumping == {0}
+        assert toggle.pumping == frozenset()
+
+    def test_closure_stops_at_the_first_pumping_step(self, nested_g):
+        # with the default budget the closure would build 100,000 terms
+        with pytest.raises(ResourceLimitError, match="rule 1 pumps"):
+            closed_reducts(nested_g, term("f(g(g(a)))"))
+
+    def test_budget_still_bounds_a_closure_without_pumping_rules(self):
+        R = system("f(x) -> f(s(x))")
+        assert R.pumping == frozenset()
+        with pytest.raises(ResourceLimitError, match="exceeded 10 terms"):
+            closed_reducts(R, term("f(a)"), budget=10)
+
+
+def _closure_outcome(closure):
+    """The closed set, or None when the closure overruns or recurses too deep."""
+    try:
+        return closure()
+    except (ResourceLimitError, RecursionError):
+        return None
+
+
+def _cut_agrees_with_uncut_closure(R, t, budget):
+    """closed_reducts gives the same set as the closure without the pumping
+    cut, or both overrun. The uncut closure is `reducts_within` with a level
+    bound it never reaches: every level adds a term or ends the closure."""
+    uncut = _closure_outcome(lambda: reducts_within(R, t, budget + 1, budget))
+    cut = _closure_outcome(lambda: closed_reducts(R, t, budget))
+    assert cut == uncut, f"{t} in {[str(r) for r in R.rules]}"
+    return uncut is not None
+
+
+class TestPumpingCutIsSound:
+    def test_fixtures(self):
+        closed = overrun = 0
+        for path in sorted(DATA_DIR.glob("*.trs")):
+            R = parse_trs(path.read_text()).trs
+            for cp in critical_pairs(R):
+                if not cp.trivial:
+                    for t in (cp.left, cp.right):
+                        if _cut_agrees_with_uncut_closure(R, t, 200):
+                            closed += 1
+                        else:
+                            overrun += 1
+        assert (closed, overrun) == (16, 6)
+
+    def test_random_systems(self):
+        # nontrivial critical pair sides, as nc uses, and a random ground term;
+        # budget 20 closes all but one of the sets that budget 50 closes,
+        # at a fifth of the time
+        rng = random.Random(2009)
+        sig = [("f", 2), ("g", 1), ("a", 0), ("b", 0)]
+        closed = overrun = 0
+        for _ in range(2000):
+            R = _random_trs(rng)
+            starts = [make_random_term(rng, sig, [], rng.randint(0, 2))]
+            for cp in critical_pairs(R):
+                if not cp.trivial:
+                    starts += [cp.left, cp.right]
+            for t in starts:
+                if _cut_agrees_with_uncut_closure(R, t, 20):
+                    closed += 1
+                else:
+                    overrun += 1
+        assert closed > 3000 and overrun > 500
+
+
+_VISITED = """
+import ddrt.rewriting as rw
+from ddrt.errors import ResourceLimitError
+from ddrt.tpdb import parse_trs
+
+R = parse_trs("(VAR x)(RULES f(x) -> f(s(x)) g(x) -> g(s(x)) k(x) -> k(s(x)))").trs
+start = parse_trs("(RULES h(f(a),g(a),k(a)) -> a)").trs.rules[0].lhs
+visited = []
+step = rw.one_step_reducts
+rw.one_step_reducts = lambda R, t: visited.append(str(t)) or step(R, t)
+try:
+    rw.closed_reducts(R, start, 30)
+except ResourceLimitError:
+    print(" ".join(visited))
+"""
+
+
+def test_closure_order_does_not_depend_on_the_hash_seed():
+    # three growing arguments, no pumping rule: the closure overruns its
+    # budget in the middle of a level, after the terms its order picks
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", _VISITED],
+            capture_output=True, text=True, env=env, check=True,
+        ).stdout)
+    assert outputs[0].split()[:2] == ["h(f(a),g(a),k(a))", "h(f(s(a)),g(a),k(a))"]
+    assert outputs[0] == outputs[1]
 
 
 class TestNormalize:
