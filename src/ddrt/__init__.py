@@ -15,9 +15,9 @@ from .interpretations import (
     prove_termination,
 )
 from .joinability import JoinInstance, join_instances, joinable_within
-from .prover import Config, prove
+from .prover import Analysis, Config, check_rule_labeling, prove
 from .rewriting import TRS, Rule, trs
-from .rule_labeling import build_phi, build_rl, check_rule_labeling, solve_precedence
+from .rule_labeling import build_phi, build_rl, solve_precedence
 from .terms import Fun, Term, Var, match, unify
 from .tpdb import ParseError, format_trs, parse_trs
 from .verdict import Verdict
@@ -25,6 +25,7 @@ from .verdict import Verdict
 __version__ = "0.1.0"
 
 __all__ = [
+    "Analysis",
     "Config",
     "CriticalPair",
     "Fun",

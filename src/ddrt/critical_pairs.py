@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .rewriting import TRS, Rule, rename_apart
 from .terms import (
@@ -56,14 +55,8 @@ def _variants(r1: Rule, r2: Rule) -> bool:
 def overlaps(R: TRS) -> list[Overlap]:
     """All overlaps of R, in (outer index, position, inner index) order.
 
-    Root overlaps of a rule with a variant of itself are excluded. They are
-    computed once per system; every call returns a fresh list.
+    Root overlaps of a rule with a variant of itself are excluded.
     """
-    return list(_overlaps(R))
-
-
-@lru_cache(maxsize=1)
-def _overlaps(R: TRS) -> tuple[Overlap, ...]:
     out: list[Overlap] = []
     for outer in R.rules:
         fun_pos, _ = positions(outer.lhs)
@@ -81,7 +74,7 @@ def _overlaps(R: TRS) -> tuple[Overlap, ...]:
                 mgu = unify(variant.lhs, sub)
                 if mgu is not None:
                     out.append(Overlap(variant, pos, outer, mgu))
-    return tuple(out)
+    return out
 
 
 def critical_pair_of(o: Overlap) -> CriticalPair:
@@ -121,19 +114,17 @@ def _steps_to_trs(steps: list[tuple[Term, Term]]) -> TRS:
     return TRS(tuple(rules))
 
 
-def cps(R: TRS, exclude_trivial: bool = False) -> TRS:
-    """The rewrite system of critical pair steps.
+def cps(pairs: list[CriticalPair], exclude_trivial: bool = False) -> TRS:
+    """The rewrite system of critical pair steps of a system's critical pairs.
 
-    Each overlap contributes both steps out of its source: the contraction of
-    the inner redex and the contraction by the outer rule. With
-    exclude_trivial, overlaps whose critical pair is trivial contribute
-    nothing.
+    Each pair contributes both steps out of its overlap's source: the
+    contraction of the inner redex and the contraction by the outer rule.
+    With exclude_trivial, trivial pairs contribute nothing.
     """
     steps: list[tuple[Term, Term]] = []
-    for o in overlaps(R):
-        cp = critical_pair_of(o)
+    for cp in pairs:
         if exclude_trivial and cp.trivial:
             continue
-        steps.append((o.source, cp.left))
-        steps.append((o.source, cp.right))
+        steps.append((cp.origin.source, cp.left))
+        steps.append((cp.origin.source, cp.right))
     return _steps_to_trs(steps)

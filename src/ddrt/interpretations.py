@@ -483,28 +483,38 @@ def has_looping_rule(rules: list[Rule]) -> bool:
 
 
 def external_termination_check(
-    R: TRS, command: Optional[str], timeout: float = 60.0
+    R: TRS, command: Optional[str], deadline: Optional[float] = None
 ) -> str:
-    """Ask an external prover about termination of R; 'yes', 'no' or 'unknown'."""
+    """Ask an external prover about termination of R; 'yes', 'no' or 'unknown'.
+
+    The prover is stopped at `deadline`, a time.monotonic() value, and is not
+    started once the deadline has passed. None sets no deadline.
+    """
     if not R.rules:
         return "yes"
-    if not command:
-        return "unknown"
+    import os
     import subprocess
     import tempfile
+    import time
 
     from .tpdb import format_trs
 
+    timeout = None if deadline is None else deadline - time.monotonic()
+    if not command or (timeout is not None and timeout <= 0):
+        return "unknown"
     try:
-        with tempfile.NamedTemporaryFile("w", suffix=".trs", delete=False) as fh:
-            fh.write(format_trs(R))
-            path = fh.name
-        proc = subprocess.run(
-            command.split() + [path],
-            capture_output=True,
-            text=True,
-            timeout=timeout,
-        )
+        fh = tempfile.NamedTemporaryFile("w", suffix=".trs", delete=False)
+        try:
+            with fh:
+                fh.write(format_trs(R))
+            proc = subprocess.run(
+                command.split() + [fh.name],
+                capture_output=True,
+                text=True,
+                timeout=timeout,
+            )
+        finally:
+            os.unlink(fh.name)
         first = proc.stdout.splitlines()[0].strip() if proc.stdout else ""
     except (OSError, subprocess.SubprocessError, IndexError):
         return "unknown"
@@ -521,15 +531,16 @@ def prove_relative_termination(
     coef_max: int = 1,
     budget: int = DEFAULT_SEARCH_BUDGET,
     external_command: Optional[str] = None,
-    external_timeout: float = 60.0,
+    deadline: Optional[float] = None,
 ) -> Verdict:
     """Termination of strict/weak by repeated rule removal.
 
     Each round searches for an interpretation weakly orienting everything and
     strictly orienting part of the strict side; strictly oriented rules are
     removed from BOTH sides. An empty strict side concludes the proof. When
-    removal stalls, plain termination of the union is attempted instead.
-    The method is sound for YES only; failure yields MAYBE, never NO.
+    removal stalls, plain termination of the union is attempted instead,
+    last by the external prover until `deadline`. The method is sound for
+    YES only; failure yields MAYBE, never NO.
     """
     strict = list(P.strict.rules)
     weak = list(P.weak.rules)
@@ -602,9 +613,7 @@ def prove_relative_termination(
             )
         diagnostics.append("union termination not shown internally")
     if external_command is not None:
-        if external_termination_check(
-            union, external_command, external_timeout
-        ) == "yes":
+        if external_termination_check(union, external_command, deadline) == "yes":
             return yes("relative-termination", chain=chain, union_termination="external")
         diagnostics.append("external prover inconclusive")
     return maybe(
@@ -621,9 +630,10 @@ def prove_termination(
     coef_max: int = 1,
     budget: int = DEFAULT_SEARCH_BUDGET,
     external_command: Optional[str] = None,
-    external_timeout: float = 60.0,
+    deadline: Optional[float] = None,
 ) -> Verdict:
-    """Plain termination of R (relative termination against the empty system)."""
+    """Plain termination of R (relative termination against the empty system),
+    with the external prover, until `deadline`, as the last resort."""
     if has_looping_rule(list(R.rules)):
         return maybe("termination", reason="looping rule")
     v = prove_relative_termination(
@@ -632,6 +642,6 @@ def prove_termination(
     if v.is_yes:
         return yes("termination", chain=v.details["chain"])
     if external_command is not None:
-        if external_termination_check(R, external_command, external_timeout) == "yes":
+        if external_termination_check(R, external_command, deadline) == "yes":
             return yes("termination", chain=[], external=True)
     return maybe("termination", reason=v.details.get("reason", "not shown"))

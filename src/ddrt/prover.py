@@ -2,21 +2,21 @@
 
 Criteria are sound individually: YES means confluent, NO means not confluent,
 MAYBE carries diagnostics. The orchestrator runs the enabled criteria
-cheapest-first and returns the first definitive answer.
+cheapest-first on one shared Analysis of the problem and returns the first
+definitive answer.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
-from .critical_pairs import cps, critical_pairs, overlaps
+from . import rule_labeling
+from .critical_pairs import CriticalPair, cps, critical_pairs
 from .errors import ResourceLimitError
-from .interpretations import (
-    RelTermProblem,
-    prove_relative_termination,
-    prove_termination,
-)
+from .interpretations import RelTermProblem, prove_relative_termination, prove_termination
 from .joinability import joinable_within
 from .rewriting import (
     TRS,
@@ -26,7 +26,6 @@ from .rewriting import (
     normalize,
     split_duplicating,
 )
-from .rule_labeling import check_rule_labeling as _check_rule_labeling
 from .verdict import MAYBE, Verdict, maybe, no, yes
 
 DEFAULT_CRITERIA = ("nc", "ortho", "rl", "kb", "dd1", "dd2", "dd2x")
@@ -54,36 +53,94 @@ class Config:
                      "nc_budget", "instance_cap"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        for name in self.criteria:
+            if name not in DEFAULT_CRITERIA:
+                raise ValueError(f"unknown criterion {name!r}")
 
 
-def check_orthogonal(R: TRS) -> Verdict:
-    if not R.is_left_linear():
+class Analysis:
+    """One problem as every criterion sees it: the system, the configuration,
+    the deadline, and what the criteria share, each computed on first use."""
+
+    def __init__(self, R: TRS, cfg: Config | None = None) -> None:
+        self.R = R
+        self.cfg = cfg or Config()
+        self.deadline = time.monotonic() + self.cfg.timeout
+
+    @cached_property
+    def pairs(self) -> list[CriticalPair]:
+        return critical_pairs(self.R)
+
+    @cached_property
+    def joins(self) -> list[dict] | str:
+        """A join witness for every critical pair, or why one is missing."""
+        cfg = self.cfg
+        joins = []
+        for cp in self.pairs:
+            try:
+                inst = joinable_within(self.R, cp.left, cp.right, cfg.k, cfg.node_budget)
+            except ResourceLimitError:
+                return f"joinability search hit the node budget at k={cfg.k}"
+            if inst is None:
+                return f"critical pair not shown joinable within {cfg.k} steps"
+            joins.append({"pair": cp, "instance": inst})
+        return joins
+
+    @cached_property
+    def steps(self) -> TRS:
+        """CPS(R), the critical pair steps."""
+        return cps(self.pairs)
+
+    @cached_property
+    def nontrivial_steps(self) -> TRS:
+        """CPS'(R), the steps of the nontrivial critical pairs."""
+        return cps(self.pairs, exclude_trivial=True)
+
+    def terminates(self, problem: TRS | RelTermProblem) -> Verdict:
+        """Termination of a system, or relative termination of a problem,
+        within the configured bounds and the time left."""
+        cfg = self.cfg
+        search = prove_termination if isinstance(problem, TRS) else prove_relative_termination
+        return search(problem, cfg.dim_max, cfg.coef_max, cfg.search_budget,
+                      cfg.external_prover, self.deadline)
+
+
+def check_orthogonal(a: Analysis) -> Verdict:
+    if not a.R.is_left_linear():
         return maybe("orthogonality", reason="not left-linear")
-    if overlaps(R):
+    if a.pairs:
         return maybe("orthogonality", reason="has overlaps")
     return yes("orthogonality", left_linear=True, overlap_free=True)
 
 
-def check_rule_labeling(R: TRS, cfg: Config) -> Verdict:
-    return _check_rule_labeling(R, cfg.k, cfg.node_budget, cfg.instance_cap)
+def check_rule_labeling(a: Analysis) -> Verdict:
+    """Confluence of a linear TRS via a satisfiable rule-labeling constraint."""
+    if not a.R.is_linear():
+        return maybe("rule-labeling", reason="not linear")
+    cfg = a.cfg
+    try:
+        formula, witnesses = rule_labeling.build_rl(
+            a.R, a.pairs, cfg.k, cfg.node_budget, cfg.instance_cap)
+    except ResourceLimitError as e:
+        return maybe("rule-labeling", reason="resource limit", detail=str(e))
+    levels = rule_labeling.solve_precedence(formula, len(a.R))
+    if levels is None:
+        return maybe("rule-labeling", reason=f"unsatisfiable at k={cfg.k}")
+    joins = [{"inner": o.inner.index, "outer": o.outer.index, "pos": o.pos,
+              "instances": instances} for o, instances in witnesses]
+    return yes("rule-labeling", level_map=levels, formula=formula, joins=joins)
 
 
-def check_knuth_bendix(R: TRS, cfg: Config) -> Verdict:
-    termination = prove_termination(
-        R,
-        cfg.dim_max,
-        cfg.coef_max,
-        cfg.search_budget,
-        cfg.external_prover,
-        cfg.timeout,
-    )
+def check_knuth_bendix(a: Analysis) -> Verdict:
+    R = a.R
+    termination = a.terminates(R)
     if not termination.is_yes:
         return maybe("knuth-bendix", reason="termination not shown")
     normalizations = []
-    for cp in critical_pairs(R):
+    for cp in a.pairs:
         try:
-            nf_left, left_steps = normalize(R, cp.left, cfg.node_budget)
-            nf_right, right_steps = normalize(R, cp.right, cfg.node_budget)
+            nf_left, left_steps = normalize(R, cp.left, a.cfg.node_budget)
+            nf_right, right_steps = normalize(R, cp.right, a.cfg.node_budget)
         except ResourceLimitError as e:
             return maybe("knuth-bendix", reason="resource limit", detail=str(e))
         if nf_left != nf_right:
@@ -98,93 +155,62 @@ def check_knuth_bendix(R: TRS, cfg: Config) -> Verdict:
                     "right_steps": right_steps,
                 },
             )
-        normalizations.append(
-            {"pair": cp, "meet": nf_left, "left_steps": left_steps,
-             "right_steps": right_steps}
-        )
-    return yes(
-        "knuth-bendix",
-        termination=termination.details,
-        normalizations=normalizations,
-    )
+        normalizations.append({"pair": cp, "meet": nf_left, "left_steps": left_steps,
+                               "right_steps": right_steps})
+    return yes("knuth-bendix", termination=termination.details, normalizations=normalizations)
 
 
-def _joins_of_all_cps(R: TRS, cfg: Config) -> list[dict] | str:
-    """Join witnesses for every critical pair, or a failure reason."""
-    joins = []
-    for cp in critical_pairs(R):
-        try:
-            inst = joinable_within(R, cp.left, cp.right, cfg.k, cfg.node_budget)
-        except ResourceLimitError:
-            return f"joinability search hit the node budget at k={cfg.k}"
-        if inst is None:
-            return f"critical pair not shown joinable within {cfg.k} steps"
-        joins.append({"pair": cp, "instance": inst})
-    return joins
-
-
-def check_dd_l1(R: TRS, cfg: Config) -> Verdict:
-    """Left-linear, joinable critical pairs, and critical pair steps plus the
-    duplicating rules relatively terminating against the non-duplicating ones."""
-    if not R.is_left_linear():
-        return maybe("dd-duplication-split", reason="not left-linear")
-    joins = _joins_of_all_cps(R, cfg)
-    if isinstance(joins, str):
-        return maybe("dd-duplication-split", reason=joins)
-    dup, nondup = split_duplicating(R)
-    strict = fresh_trs(list(cps(R).rules) + list(dup.rules))
-    rel = prove_relative_termination(
-        RelTermProblem(strict, nondup),
-        cfg.dim_max,
-        cfg.coef_max,
-        cfg.search_budget,
-        cfg.external_prover,
-        cfg.timeout,
-    )
-    if not rel.is_yes:
-        return maybe(
-            "dd-duplication-split",
-            reason="relative termination not shown",
-            relative=rel.details,
-        )
-    return yes("dd-duplication-split", joins=joins, relative=rel.details)
-
-
-def check_dd_l2(R: TRS, cfg: Config, exclude_trivial: bool = False) -> Verdict:
-    """Left-linear, joinable critical pairs, and critical pair steps
-    relatively terminating against the whole system."""
-    name = "dd-relative" + ("-nontrivial" if exclude_trivial else "")
-    if not R.is_left_linear():
+def _check_dd(
+    a: Analysis, name: str, relative: Callable[[], tuple[RelTermProblem, dict]]
+) -> Verdict:
+    """Left-linear, joinable critical pairs, and the relative problem that
+    `relative` builds terminating; it also gives details for a YES."""
+    if not a.R.is_left_linear():
         return maybe(name, reason="not left-linear")
-    joins = _joins_of_all_cps(R, cfg)
-    if isinstance(joins, str):
-        return maybe(name, reason=joins)
-    steps = cps(R, exclude_trivial)
-    rel = prove_relative_termination(
-        RelTermProblem(steps, R),
-        cfg.dim_max,
-        cfg.coef_max,
-        cfg.search_budget,
-        cfg.external_prover,
-        cfg.timeout,
-    )
+    if isinstance(a.joins, str):
+        return maybe(name, reason=a.joins)
+    problem, shown = relative()
+    rel = a.terminates(problem)
     if not rel.is_yes:
         return maybe(name, reason="relative termination not shown", relative=rel.details)
-    return yes(name, joins=joins, cps=steps, relative=rel.details)
+    return yes(name, joins=a.joins, **shown, relative=rel.details)
 
 
-def check_nonconfluence(R: TRS, cfg: Config) -> Verdict:
+def check_dd_l1(a: Analysis) -> Verdict:
+    """Critical pair steps plus the duplicating rules relatively terminating
+    against the non-duplicating ones."""
+
+    def relative() -> tuple[RelTermProblem, dict]:
+        dup, nondup = split_duplicating(a.R)
+        return RelTermProblem(fresh_trs(list(a.steps.rules) + list(dup.rules)), nondup), {}
+
+    return _check_dd(a, "dd-duplication-split", relative)
+
+
+def check_dd_l2(a: Analysis, exclude_trivial: bool = False) -> Verdict:
+    """Critical pair steps, or with exclude_trivial those of the nontrivial
+    pairs, relatively terminating against the whole system."""
+
+    def relative() -> tuple[RelTermProblem, dict]:
+        steps = a.nontrivial_steps if exclude_trivial else a.steps
+        return RelTermProblem(steps, a.R), {"cps": steps}
+
+    return _check_dd(a, "dd-relative" + ("-nontrivial" if exclude_trivial else ""), relative)
+
+
+def check_nonconfluence(a: Analysis) -> Verdict:
     """Distinct normal forms reachable from a critical peak refute confluence.
 
     Conservative: requires both bounded reduct sets to close (not truncate)
     and to be disjoint before answering NO.
     """
-    for cp in critical_pairs(R):
+    R = a.R
+    for cp in a.pairs:
         if cp.trivial:
             continue
         try:
-            left_set = closed_reducts(R, cp.left, cfg.nc_budget)
-            right_set = closed_reducts(R, cp.right, cfg.nc_budget)
+            left_set = closed_reducts(R, cp.left, a.cfg.nc_budget)
+            right_set = closed_reducts(R, cp.right, a.cfg.nc_budget)
         except ResourceLimitError:
             continue
         if left_set & right_set:
@@ -206,30 +232,28 @@ def check_nonconfluence(R: TRS, cfg: Config) -> Verdict:
     return maybe("nonconfluence", reason="no critical pair with disjoint closed reducts")
 
 
+# looked up at call time, so that wrappers installed on this module see the calls
 _CRITERIA = {
-    "nc": lambda R, cfg: check_nonconfluence(R, cfg),
-    "ortho": lambda R, cfg: check_orthogonal(R),
-    "rl": lambda R, cfg: check_rule_labeling(R, cfg),
-    "kb": lambda R, cfg: check_knuth_bendix(R, cfg),
-    "dd1": lambda R, cfg: check_dd_l1(R, cfg),
-    "dd2": lambda R, cfg: check_dd_l2(R, cfg, exclude_trivial=False),
-    "dd2x": lambda R, cfg: check_dd_l2(R, cfg, exclude_trivial=True),
+    "nc": lambda a: check_nonconfluence(a),
+    "ortho": lambda a: check_orthogonal(a),
+    "rl": lambda a: check_rule_labeling(a),
+    "kb": lambda a: check_knuth_bendix(a),
+    "dd1": lambda a: check_dd_l1(a),
+    "dd2": lambda a: check_dd_l2(a, exclude_trivial=False),
+    "dd2x": lambda a: check_dd_l2(a, exclude_trivial=True),
 }
 
 
 def prove(R: TRS, cfg: Config | None = None) -> Verdict:
     """Run the enabled criteria in order; first YES or NO wins."""
-    cfg = cfg or Config()
-    deadline = time.monotonic() + cfg.timeout
+    a = Analysis(R, cfg)
     reasons: dict[str, dict] = {}
-    for name in cfg.criteria:
-        if name not in _CRITERIA:
-            raise ValueError(f"unknown criterion {name!r}")
-        if time.monotonic() > deadline:
-            reasons["timeout"] = {"reason": f"global timeout of {cfg.timeout}s reached"}
+    for name in a.cfg.criteria:
+        if time.monotonic() > a.deadline:
+            reasons["timeout"] = {"reason": f"global timeout of {a.cfg.timeout}s reached"}
             break
         try:
-            verdict = _CRITERIA[name](R, cfg)
+            verdict = _CRITERIA[name](a)
         except ResourceLimitError as e:
             verdict = maybe(name, reason="resource limit", detail=str(e))
         except RecursionError as e:

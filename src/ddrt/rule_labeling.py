@@ -1,4 +1,4 @@
-"""Precedence formulas over rule indices and the bounded rule-labeling check.
+"""Precedence formulas over rule indices, the rule-labeling constraint and its solver.
 
 The satisfiability target is a well-founded order on rules. Formulas are
 trees of conjunctions, disjunctions and the atoms ``a > b`` and ``a >= b``,
@@ -11,11 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .critical_pairs import critical_pair_of, overlaps
-from .errors import ResourceLimitError
+from .critical_pairs import CriticalPair, Overlap
 from .joinability import JoinInstance, join_instances
 from .rewriting import DEFAULT_NODE_BUDGET, TRS
-from .verdict import Verdict, maybe, yes
 
 
 class Formula:
@@ -168,20 +166,22 @@ def build_phi(alpha: int, beta: int, gammas: tuple[int, ...]) -> Formula:
 
 def build_rl(
     R: TRS,
+    pairs: list[CriticalPair],
     k: int,
     budget: int = DEFAULT_NODE_BUDGET,
     instance_cap: int = 64,
-) -> tuple[Formula, list[tuple[object, list[JoinInstance]]]]:
-    """The rule-labeling constraint of R at join bound k.
+) -> tuple[Formula, list[tuple[Overlap, list[JoinInstance]]]]:
+    """The rule-labeling constraint of R, whose critical pairs are `pairs`,
+    at join bound k.
 
     Returns the formula together with, per overlap, the minimal join instances
     that produced its disjunction (witness data for proof traces). An overlap
     whose critical pair has no k-join contributes an unsatisfiable conjunct.
     """
     conjuncts: list[Formula] = []
-    witnesses: list[tuple[object, list[JoinInstance]]] = []
-    for o in overlaps(R):
-        cp = critical_pair_of(o)
+    witnesses: list[tuple[Overlap, list[JoinInstance]]] = []
+    for cp in pairs:
+        o = cp.origin
         instances = join_instances(R, cp.left, cp.right, k, budget)[:instance_cap]
         witnesses.append((o, instances))
         conjuncts.append(
@@ -242,35 +242,3 @@ def solve_precedence(f: Formula, n_rules: int) -> Optional[LevelMap]:
     full = {i: 0 for i in range(n_rules)}
     full.update(levels)
     return full
-
-
-def check_rule_labeling(
-    R: TRS,
-    k: int = 4,
-    budget: int = DEFAULT_NODE_BUDGET,
-    instance_cap: int = 64,
-) -> "Verdict":
-    """Confluence of a linear TRS via a satisfiable rule-labeling constraint."""
-    if not R.is_linear():
-        return maybe("rule-labeling", reason="not linear")
-    try:
-        formula, witnesses = build_rl(R, k, budget, instance_cap)
-    except ResourceLimitError as e:
-        return maybe("rule-labeling", reason="resource limit", detail=str(e))
-    levels = solve_precedence(formula, len(R))
-    if levels is None:
-        return maybe("rule-labeling", reason=f"unsatisfiable at k={k}")
-    return yes(
-        "rule-labeling",
-        level_map=levels,
-        formula=formula,
-        joins=[
-            {
-                "inner": o.inner.index,
-                "outer": o.outer.index,
-                "pos": o.pos,
-                "instances": instances,
-            }
-            for o, instances in witnesses
-        ],
-    )

@@ -10,7 +10,7 @@ import time
 
 from ddrt import Config, prove
 from ddrt.cli import run
-from ddrt.critical_pairs import cps
+from ddrt.critical_pairs import cps, critical_pairs
 from ddrt.interpretations import (
     RelTermProblem,
     compare_forms,
@@ -18,7 +18,7 @@ from ddrt.interpretations import (
     prove_relative_termination,
 )
 from ddrt.joinability import join_instances
-from ddrt.prover import check_dd_l2, check_knuth_bendix, check_rule_labeling
+from ddrt.prover import Analysis, check_dd_l2, check_knuth_bendix, check_rule_labeling
 from ddrt.rule_labeling import And, build_phi, build_rl, solve_precedence
 from conftest import data_path, system, term
 from helpers import eval_formula, replay_join, replay_relative, replay_steps
@@ -39,7 +39,7 @@ def test_criterion_1_rule_labeling_end_to_end(stream, capsys):
 
     # the generated constraint is exactly the two-part formula of the
     # system's single overlap (rule indices are 0-based file order)
-    formula, _ = build_rl(stream, 4)
+    formula, _ = build_rl(stream, critical_pairs(stream), 4)
     assert formula == And((build_phi(0, 4, (2,)), build_phi(4, 0, (0, 3, 2))))
 
     # the minimal 4-join set of the critical pair is a single instance
@@ -125,7 +125,7 @@ def test_criterion_5_cps_keeps_source_steps(toggle):
     source term; dropping them (keeping only the contracta-to-contracta
     rules) would let the relative-termination criterion prove a
     non-confluent system."""
-    steps = cps(toggle)
+    steps = cps(critical_pairs(toggle))
     step_pairs = {(r.lhs, r.rhs) for r in steps.rules}
     assert (term("f(a)"), term("f(b)")) in step_pairs
 
@@ -138,7 +138,7 @@ def test_criterion_5_cps_keeps_source_steps(toggle):
     # the real pipeline keeps the source steps and stays at MAYBE
     genuine = prove_relative_termination(RelTermProblem(steps, toggle))
     assert genuine.kind == "MAYBE"
-    assert check_dd_l2(toggle, Config()).kind == "MAYBE"
+    assert check_dd_l2(Analysis(toggle, Config())).kind == "MAYBE"
     print("ACCEPTANCE 5: PASS - critical pair steps keep the source steps")
 
 
@@ -153,7 +153,7 @@ def test_criterion_6_yes_traces_replay_independently(
     cfg = Config()
 
     # rule labeling on the stream system
-    v = check_rule_labeling(stream, cfg)
+    v = check_rule_labeling(Analysis(stream, cfg))
     assert v.is_yes
     levels = v.details["level_map"]
     assert eval_formula(v.details["formula"], levels)
@@ -165,7 +165,7 @@ def test_criterion_6_yes_traces_replay_independently(
             assert meet_left == inst.meet == meet_right
 
     # relative termination on the extended stream, both proof layers
-    v = check_dd_l2(stream_d, cfg)
+    v = check_dd_l2(Analysis(stream_d, cfg))
     assert v.is_yes
     replay_relative(v.details["relative"])
     for join in v.details["joins"]:
@@ -174,14 +174,14 @@ def test_criterion_6_yes_traces_replay_independently(
     # duplication split on the growing system
     from ddrt.prover import check_dd_l1
 
-    v = check_dd_l1(nested_g, cfg)
+    v = check_dd_l1(Analysis(nested_g, cfg))
     assert v.is_yes
     replay_relative(v.details["relative"])
     for join in v.details["joins"]:
         replay_join(nested_g, join["pair"].left, join["pair"].right, join["instance"])
 
     # termination plus joinability on the diamond
-    v = check_knuth_bendix(diamond, cfg)
+    v = check_knuth_bendix(Analysis(diamond, cfg))
     assert v.is_yes
     replay_relative({"chain": v.details["termination"]["chain"]})
     for entry in v.details["normalizations"]:

@@ -211,6 +211,22 @@ class TestRunSingle:
         assert captured.err.startswith("error: ")
 
 
+GOLDEN = DATA_DIR / "proofs"
+
+
+@pytest.mark.parametrize("golden", sorted(p.name for p in GOLDEN.glob("*.txt")))
+def test_proof_matches_golden_output(golden, capsys):
+    """`ddrt [--criterion C] --proof NAME.trs` prints NAME.C.txt byte for byte,
+    where C is "auto" for the whole portfolio. A file is written with
+    `python -m ddrt.cli [--criterion C] --proof tests/data/NAME.trs`."""
+    name, criterion, _ = golden.split(".")
+    argv = ["--proof", data_path(f"{name}.trs")]
+    if criterion != "auto":
+        argv = ["--criterion", criterion] + argv
+    assert run(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
 class TestStartup:
     """A fresh process pays only for the layers its problem uses."""
 

@@ -11,7 +11,7 @@ from math import comb
 import pytest
 
 from ddrt import TRS, trs
-from ddrt.critical_pairs import cps
+from ddrt.critical_pairs import cps, critical_pairs
 from ddrt.cli import run
 from ddrt.interpretations import (
     DEFAULT_SEARCH_BUDGET,
@@ -59,7 +59,7 @@ class TestInterpretTerm:
             assert compare_forms(lhs, rhs) in ("weak", "strict")
 
     def test_model_orients_cp_steps_strictly(self, stream_d, stream_d_model):
-        for rule in cps(stream_d).rules:
+        for rule in cps(critical_pairs(stream_d)).rules:
             lhs = interpret_term(stream_d_model, rule.lhs)
             rhs = interpret_term(stream_d_model, rule.rhs)
             assert compare_forms(lhs, rhs) == "strict"
@@ -158,7 +158,7 @@ class TestSearchInterpretation:
         assert compare_forms(a, b) == "strict"
 
     def test_cp_steps_of_extended_stream(self, stream_d):
-        P = RelTermProblem(cps(stream_d), stream_d)
+        P = RelTermProblem(cps(critical_pairs(stream_d)), stream_d)
         found = _search(P, 2)
         assert found is not None
         M, _ = found
@@ -174,7 +174,7 @@ class TestSearchInterpretation:
         assert strictly_oriented >= 1
 
     def test_orientation_closed_under_contexts(self, stream_d):
-        P = RelTermProblem(cps(stream_d), stream_d)
+        P = RelTermProblem(cps(critical_pairs(stream_d)), stream_d)
         M, _ = _search(P, 2)
         strict_rules = [
             r
@@ -232,13 +232,14 @@ class TestProveRelativeTermination:
         assert v.is_yes and v.details["chain"] == []
 
     def test_extended_stream_cp_steps(self, stream_d):
-        v = prove_relative_termination(RelTermProblem(cps(stream_d), stream_d), dim_max=2)
+        P = RelTermProblem(cps(critical_pairs(stream_d)), stream_d)
+        v = prove_relative_termination(P, dim_max=2)
         assert v.is_yes
         replay_relative(v.details)
 
     def test_toggle_cp_steps_unprovable(self, toggle):
         # f(a) and f(b) rewrite to each other, so no proof can exist
-        v = prove_relative_termination(RelTermProblem(cps(toggle), toggle))
+        v = prove_relative_termination(RelTermProblem(cps(critical_pairs(toggle)), toggle))
         assert v.kind == "MAYBE"
 
     def test_looping_strict_rule_fails_fast(self):
@@ -265,6 +266,30 @@ class TestExternalProver:
 
     def test_spawn_failure_degrades(self, diamond):
         assert external_termination_check(diamond, "/nonexistent-tool") == "unknown"
+
+    @staticmethod
+    def _tool(path, body: str) -> str:
+        path.write_text(f"#!/bin/sh\n{body}\n")
+        path.chmod(0o755)
+        return str(path)
+
+    def test_problem_file_is_removed(self, diamond, tmp_path, monkeypatch):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        answers = self._tool(tmp_path / "answers.sh", "echo YES")
+        assert external_termination_check(diamond, answers) == "yes"
+        sleeps = self._tool(tmp_path / "sleeps.sh", "exec sleep 30")
+        start = time.monotonic()
+        assert external_termination_check(diamond, sleeps, start + 0.5) == "unknown"
+        assert time.monotonic() - start < 5
+        assert list(scratch.iterdir()) == []
+
+    def test_not_started_after_the_deadline(self, diamond, tmp_path):
+        mark = tmp_path / "called"
+        tool = self._tool(tmp_path / "tool.sh", f"touch '{mark}'\necho YES")
+        assert external_termination_check(diamond, tool, time.monotonic() - 1) == "unknown"
+        assert not mark.exists()
 
     @pytest.mark.parametrize("answer,expected", [("YES", "yes"), ("NO", "no"), ("MAYBE", "unknown")])
     def test_tool_answers(self, diamond, answer, expected):

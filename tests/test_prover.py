@@ -2,19 +2,26 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from ddrt import Config, prove
+from ddrt.critical_pairs import critical_pairs
 from ddrt.prover import (
+    Analysis,
     check_dd_l1,
     check_dd_l2,
     check_knuth_bendix,
     check_nonconfluence,
     check_orthogonal,
 )
-from conftest import system, term
+from conftest import data_path, system, term
 from helpers import check_normal_form, replay_join, replay_relative
 
 
@@ -25,39 +32,39 @@ def cfg():
 
 class TestOrthogonal:
     def test_orthogonal_yes(self, ortho):
-        assert check_orthogonal(ortho).is_yes
+        assert check_orthogonal(Analysis(ortho)).is_yes
 
     def test_overlapping_maybe(self, stream):
-        v = check_orthogonal(stream)
+        v = check_orthogonal(Analysis(stream))
         assert v.kind == "MAYBE" and v.details["reason"] == "has overlaps"
 
     def test_nonleftlinear_maybe(self):
-        v = check_orthogonal(system("f(x,x) -> a"))
+        v = check_orthogonal(Analysis(system("f(x,x) -> a")))
         assert v.kind == "MAYBE" and v.details["reason"] == "not left-linear"
 
 
 class TestKnuthBendix:
     def test_diamond_yes(self, diamond, cfg):
-        v = check_knuth_bendix(diamond, cfg)
+        v = check_knuth_bendix(Analysis(diamond, cfg))
         assert v.is_yes
         for entry in v.details["normalizations"]:
             assert check_normal_form(diamond, entry["meet"])
 
     def test_fork_no_with_witness(self, fork, cfg):
-        v = check_knuth_bendix(fork, cfg)
+        v = check_knuth_bendix(Analysis(fork, cfg))
         assert v.is_no
         nf_left, nf_right = v.details["witness"]["normal_forms"]
         assert {nf_left, nf_right} == {term("b"), term("c")}
 
     def test_nonterminating_maybe(self, nested_g, cfg):
-        v = check_knuth_bendix(nested_g, cfg)
+        v = check_knuth_bendix(Analysis(nested_g, cfg))
         assert v.kind == "MAYBE"
         assert v.details["reason"] == "termination not shown"
 
 
 class TestDdDuplicationSplit:
     def test_nested_g_yes(self, nested_g, cfg):
-        v = check_dd_l1(nested_g, cfg)
+        v = check_dd_l1(Analysis(nested_g, cfg))
         assert v.is_yes
         replay_relative(v.details["relative"])
         for entry in v.details["joins"]:
@@ -65,31 +72,31 @@ class TestDdDuplicationSplit:
 
     def test_extended_stream_maybe(self, stream_d, cfg):
         # the duplicating d rule cannot terminate relative to the rest
-        v = check_dd_l1(stream_d, cfg)
+        v = check_dd_l1(Analysis(stream_d, cfg))
         assert v.kind == "MAYBE"
 
     def test_nonleftlinear_maybe(self, nonleftlinear, cfg):
-        v = check_dd_l1(nonleftlinear, cfg)
+        v = check_dd_l1(Analysis(nonleftlinear, cfg))
         assert v.kind == "MAYBE" and v.details["reason"] == "not left-linear"
 
 
 class TestDdRelative:
     def test_extended_stream_yes_both_variants(self, stream_d, cfg):
         for exclude in (False, True):
-            v = check_dd_l2(stream_d, cfg, exclude_trivial=exclude)
+            v = check_dd_l2(Analysis(stream_d, cfg), exclude_trivial=exclude)
             assert v.is_yes
             replay_relative(v.details["relative"])
 
     def test_toggle_maybe(self, toggle, cfg):
-        assert check_dd_l2(toggle, cfg).kind == "MAYBE"
+        assert check_dd_l2(Analysis(toggle, cfg)).kind == "MAYBE"
 
     def test_orthogonal_yes(self, ortho, cfg):
-        assert check_dd_l2(ortho, cfg).is_yes
+        assert check_dd_l2(Analysis(ortho, cfg)).is_yes
 
 
 class TestNonconfluence:
     def test_fork_no(self, fork, cfg):
-        v = check_nonconfluence(fork, cfg)
+        v = check_nonconfluence(Analysis(fork, cfg))
         assert v.is_no
         witness = v.details["witness"]
         assert {witness["normal_forms"][0], witness["normal_forms"][1]} == {
@@ -101,10 +108,10 @@ class TestNonconfluence:
 
     def test_toggle_maybe(self, toggle, cfg):
         # its critical pairs are joinable; refutation needs conversions
-        assert check_nonconfluence(toggle, cfg).kind == "MAYBE"
+        assert check_nonconfluence(Analysis(toggle, cfg)).kind == "MAYBE"
 
     def test_orthogonal_maybe(self, ortho, cfg):
-        assert check_nonconfluence(ortho, cfg).kind == "MAYBE"
+        assert check_nonconfluence(Analysis(ortho, cfg)).kind == "MAYBE"
 
     def test_pumping_closure_is_skipped_at_once(self):
         # a -> g(a) pumps, so nc cuts every closure from a term with an `a`
@@ -139,6 +146,26 @@ class TestProve:
     def test_unknown_criterion_rejected(self, fork):
         with pytest.raises(ValueError):
             prove(fork, Config(criteria=("bogus",)))
+
+    def test_config_rejects_unknown_criterion(self):
+        with pytest.raises(ValueError, match="bogus"):
+            Config(criteria=("ortho", "bogus"))
+
+    def test_external_prover_gets_only_the_time_left(self, toggle, tmp_path):
+        # kb's call answers MAYBE after a second; dd1's call would sleep for
+        # 30 s and has to stop at the deadline, 2 s after the start
+        tool = tmp_path / "prover.sh"
+        mark = tmp_path / "called"
+        tool.write_text(
+            f"#!/bin/sh\nif [ -e '{mark}' ]; then exec sleep 30; fi\n"
+            f"touch '{mark}'\nsleep 1\necho MAYBE\n"
+        )
+        tool.chmod(0o755)
+        start = time.perf_counter()
+        v = prove(toggle, Config(timeout=2, external_prover=str(tool)))
+        elapsed = time.perf_counter() - start
+        assert v.kind == "MAYBE" and "timeout" in v.details["per_criterion"]
+        assert elapsed < 2.5, f"took {elapsed:.2f}s"
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -197,3 +224,39 @@ class TestProve:
         for R in (stream, stream_d, nested_g):
             assert prove(R, small).is_yes
             assert prove(R, big).is_yes
+
+
+class TestSharedAnalysis:
+    def test_one_analysis_per_prove(self, toggle):
+        """Auto mode on toggle runs all seven criteria. Under the benchmark's
+        tracer, each runs once, overlaps are computed once, and the dd
+        criteria search a join for each critical pair once between them."""
+        perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+        code = (
+            "import contextlib, io, json, sys\n"
+            f"sys.path.insert(0, {str(perfbench)!r})\n"
+            "from tracing import Tracer\n"
+            "tracer = Tracer()\n"
+            "tracer.install()\n"
+            "import ddrt.cli, ddrt.prover\n"
+            "joins, search = [], ddrt.prover.joinable_within\n"
+            "ddrt.prover.joinable_within = lambda *a: joins.append(a) or search(*a)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    ddrt.cli.run([{data_path('toggle.trs')!r}])\n"
+            "print(json.dumps({'layers': tracer.summarize(), 'joins': len(joins)}))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=src),
+        ).stdout
+        result = json.loads(out.splitlines()[-1])
+        layers = result["layers"]
+        for c in ("nc", "ortho", "rl", "kb", "dd1", "dd2", "dd2x"):
+            assert layers.get(f"prover.{c}.calls") == 1, c
+        assert layers["critical_pairs.overlaps.calls"] == 1
+        for name in ("rule_labeling.build_rl", "rule_labeling.solve_precedence",
+                     "joinability.join_instances", "interpretations.prove_termination",
+                     "interpretations.prove_relative_termination"):
+            assert layers.get(f"{name}.calls", 0) > 0, name
+        assert result["joins"] == len(critical_pairs(toggle)) == 2

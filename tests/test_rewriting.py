@@ -417,7 +417,7 @@ def _check_development_case(R, rule, sigma, t):
             return True
     # (b) a critical pair step from lσ reaches t by one more development,
     # and the root step lσ -> rσ is itself a critical pair step
-    steps = cps(R)
+    steps = cps(critical_pairs(R))
     rsig = apply_subst(sigma, rule.rhs)
     root_cps = {u for _, _, u in one_step_reducts(steps, lsig)}
     if rsig not in root_cps:

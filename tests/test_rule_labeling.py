@@ -15,12 +15,13 @@ from ddrt.rule_labeling import (
     atom_indices,
     build_phi,
     build_rl,
-    check_rule_labeling,
     conj,
     disj,
     evaluate,
     solve_precedence,
 )
+from ddrt.critical_pairs import critical_pairs
+from ddrt.prover import Analysis, Config, check_rule_labeling
 from ddrt.tpdb import parse_trs
 from conftest import DATA_DIR, system
 from helpers import (
@@ -58,7 +59,7 @@ class TestBuildPhi:
 
 class TestBuildRl:
     def test_stream(self, stream):
-        formula, witnesses = build_rl(stream, 4)
+        formula, witnesses = build_rl(stream, critical_pairs(stream), 4)
         assert formula == And((build_phi(0, 4, (2,)), build_phi(4, 0, (0, 3, 2))))
         assert len(witnesses) == 1
         overlap, instances = witnesses[0]
@@ -67,17 +68,17 @@ class TestBuildRl:
 
     def test_orthogonal_linear_is_top(self):
         R = system("f(x) -> g(x)", "a -> b")
-        formula, witnesses = build_rl(R, 4)
+        formula, witnesses = build_rl(R, critical_pairs(R), 4)
         assert formula == TOP and witnesses == []
 
     def test_unjoinable_overlap_is_bottom(self, fork):
-        formula, _ = build_rl(fork, 0)
+        formula, _ = build_rl(fork, critical_pairs(fork), 0)
         assert formula == BOTTOM
 
 
 class TestSolvePrecedence:
     def test_stream_orders_top_rule_highest(self, stream):
-        formula, _ = build_rl(stream, 4)
+        formula, _ = build_rl(stream, critical_pairs(stream), 4)
         levels = solve_precedence(formula, 5)
         assert levels is not None
         assert levels[4] > levels[0]
@@ -92,7 +93,7 @@ class TestSolvePrecedence:
         assert solve_precedence(TOP, 3) == {0: 0, 1: 0, 2: 0}
 
     def test_solution_is_total_on_rule_indices(self, stream):
-        formula, _ = build_rl(stream, 4)
+        formula, _ = build_rl(stream, critical_pairs(stream), 4)
         levels = solve_precedence(formula, 5)
         assert set(levels) == set(range(5))
 
@@ -150,7 +151,7 @@ def test_solver_returns_the_oracles_map_on_linear_fixtures():
         if not R.is_linear():
             continue
         for k in (2, 4):
-            formula, _ = build_rl(R, k)
+            formula, _ = build_rl(R, critical_pairs(R), k)
             assert solve_precedence(formula, len(R)) == solve_by_enumeration(
                 formula, len(R)
             ), f"{path.name} at k={k}"
@@ -167,7 +168,7 @@ def test_unsatisfiable_string_system_is_fast():
         "b(a(x)) -> x",
         "a(a(x)) -> x",
     )
-    formula, _ = build_rl(R, 4)
+    formula, _ = build_rl(R, critical_pairs(R), 4)
     start = time.perf_counter()
     assert solve_precedence(formula, len(R)) is None
     assert time.perf_counter() - start < 1.0
@@ -211,23 +212,23 @@ def test_phi_satisfiability_inherited_by_subsequences():
 
 class TestCheckRuleLabeling:
     def test_stream_yes(self, stream):
-        verdict = check_rule_labeling(stream, 4)
+        verdict = check_rule_labeling(Analysis(stream, Config(k=4)))
         assert verdict.is_yes
         assert verdict.details["level_map"][4] > verdict.details["level_map"][0]
 
     def test_not_linear_rejected(self, nonlinear_f):
-        verdict = check_rule_labeling(nonlinear_f, 4)
+        verdict = check_rule_labeling(Analysis(nonlinear_f, Config(k=4)))
         assert verdict.kind == "MAYBE"
         assert verdict.details["reason"] == "not linear"
 
     def test_single_rule_yes(self):
-        assert check_rule_labeling(system("a -> b"), 4).is_yes
+        assert check_rule_labeling(Analysis(system("a -> b"), Config(k=4))).is_yes
 
     def test_unjoinable_at_small_k(self, stream):
-        verdict = check_rule_labeling(stream, 0)
+        verdict = check_rule_labeling(Analysis(stream, Config(k=0)))
         assert verdict.kind == "MAYBE"
         assert "unsatisfiable" in verdict.details["reason"]
 
     def test_monotone_in_k(self, stream):
-        assert check_rule_labeling(stream, 4).is_yes
-        assert check_rule_labeling(stream, 5).is_yes
+        assert check_rule_labeling(Analysis(stream, Config(k=4))).is_yes
+        assert check_rule_labeling(Analysis(stream, Config(k=5))).is_yes
