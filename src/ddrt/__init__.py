@@ -14,7 +14,7 @@ from .interpretations import (
     prove_relative_termination,
     prove_termination,
 )
-from .joinability import JoinInstance, join_instances, joinable_within
+from .joinability import JoinInstance, join_instances
 from .prover import Analysis, Config, check_rule_labeling, prove
 from .rewriting import TRS, Rule, trs
 from .rule_labeling import build_phi, build_rl, solve_precedence
@@ -47,7 +47,6 @@ __all__ = [
     "critical_pairs",
     "format_trs",
     "join_instances",
-    "joinable_within",
     "match",
     "overlaps",
     "parse_trs",

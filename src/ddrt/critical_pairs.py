@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rewriting import TRS, Rule, rename_apart
+from .rewriting import TRS, Rule, fresh_trs, rename_apart
 from .terms import (
     Fun,
     Position,
@@ -12,8 +12,6 @@ from .terms import (
     Term,
     Var,
     apply_subst,
-    iter_positions,
-    match,
     positions,
     replace_at,
     subterm_at,
@@ -45,18 +43,13 @@ class CriticalPair:
         return self.left == self.right
 
 
-def _variants(r1: Rule, r2: Rule) -> bool:
-    # r1 and r2 are variants iff each rule matches the other as a whole
-    pack1 = Fun("", (r1.lhs, r1.rhs))
-    pack2 = Fun("", (r2.lhs, r2.rhs))
-    return match(pack1, pack2) is not None and match(pack2, pack1) is not None
-
-
 def overlaps(R: TRS) -> list[Overlap]:
     """All overlaps of R, in (outer index, position, inner index) order.
 
     Root overlaps of a rule with a variant of itself are excluded.
     """
+    # one form per rule, so that a rule compared with itself compares by identity
+    forms = {r.index: _canonical(r.lhs, r.rhs) for r in R.rules}
     out: list[Overlap] = []
     for outer in R.rules:
         fun_pos, _ = positions(outer.lhs)
@@ -66,7 +59,7 @@ def overlaps(R: TRS) -> list[Overlap]:
             sub = subterm_at(outer.lhs, pos)
             # a rule headed by another symbol never unifies with sub
             for inner in R.by_root.get(sub.symbol, ()):
-                if pos == () and _variants(inner, outer):
+                if pos == () and forms[inner.index] == forms[outer.index]:
                     continue
                 variant = renamed.get(inner.index)
                 if variant is None:
@@ -88,30 +81,31 @@ def critical_pairs(R: TRS) -> list[CriticalPair]:
 
 
 def _canonical(lhs: Term, rhs: Term) -> tuple[Term, Term]:
-    # rename variables to v0, v1, ... in preorder so variant rules compare equal
-    mapping: dict[str, str] = {}
-    for t in (lhs, rhs):
-        for _, s in iter_positions(t):
-            if isinstance(s, Var) and s.name not in mapping:
-                mapping[s.name] = f"v{len(mapping)}"
-
-    def rn(t: Term) -> Term:
+    """lhs -> rhs with its variables renamed to v0, v1, ... in order of first
+    occurrence, so that variant rules compare equal. The terms are rebuilt
+    with an explicit stack, since rules may nest deeper than the recursion
+    limit."""
+    names: dict[str, Var] = {}
+    built: list[Term] = []
+    todo: list[Term | tuple[str, int]] = [rhs, lhs]
+    while todo:
+        t = todo.pop()
         if isinstance(t, Var):
-            return Var(mapping[t.name])
-        return Fun(t.symbol, tuple(rn(a) for a in t.args))
-
-    return rn(lhs), rn(rhs)
-
-
-def _steps_to_trs(steps: list[tuple[Term, Term]]) -> TRS:
-    rules: list[Rule] = []
-    seen: set[tuple[Term, Term]] = set()
-    for lhs, rhs in steps:
-        key = _canonical(lhs, rhs)
-        if key not in seen:
-            seen.add(key)
-            rules.append(Rule(len(rules), key[0], key[1]))
-    return TRS(tuple(rules))
+            v = names.get(t.name)
+            if v is None:
+                v = names[t.name] = Var(f"v{len(names)}")
+            built.append(v)
+        elif isinstance(t, Fun):
+            # the arguments left to right, then the node itself
+            todo.append((t.symbol, len(t.args)))
+            todo.extend(reversed(t.args))
+        else:
+            symbol, n = t
+            args = tuple(built[len(built) - n:])
+            del built[len(built) - n:]
+            built.append(Fun(symbol, args))
+    lhs, rhs = built
+    return lhs, rhs
 
 
 def cps(pairs: list[CriticalPair], exclude_trivial: bool = False) -> TRS:
@@ -121,10 +115,10 @@ def cps(pairs: list[CriticalPair], exclude_trivial: bool = False) -> TRS:
     contraction of the inner redex and the contraction by the outer rule.
     With exclude_trivial, trivial pairs contribute nothing.
     """
-    steps: list[tuple[Term, Term]] = []
+    steps: list[Rule] = []
     for cp in pairs:
         if exclude_trivial and cp.trivial:
             continue
-        steps.append((cp.origin.source, cp.left))
-        steps.append((cp.origin.source, cp.right))
-    return _steps_to_trs(steps)
+        for target in (cp.left, cp.right):
+            steps.append(Rule(len(steps), *_canonical(cp.origin.source, target)))
+    return fresh_trs(steps)

@@ -10,6 +10,7 @@ entrywise, strictly when the first constant component decreases.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -234,6 +235,7 @@ def search_interpretation(
     const_max: int,
     budget: int,
     weight_extra: Optional[int],
+    deadline: Optional[float] = None,
 ) -> Optional[tuple[MatrixInterpretation, set[int]]]:
     """Find an interpretation weakly orienting every rule and strictly
     orienting at least one strict rule.
@@ -242,7 +244,8 @@ def search_interpretation(
     strictly oriented rules, or None when the bounded space holds no such
     interpretation; rule indices are not used because the two sides of a
     relative problem (e.g. CPS(R) versus R) number their rules independently.
-    Raises ResourceLimitError when the node budget runs out.
+    Raises ResourceLimitError when the node budget runs out or the search
+    passes `deadline`, a time.monotonic() value (None sets no deadline).
 
     Rule orientations are checked for all candidates of a symbol at once with
     numpy (batch axis = candidate index). A weight_extra of w limits each
@@ -285,6 +288,9 @@ def search_interpretation(
         nodes += 1
         if nodes > budget:
             raise ResourceLimitError(f"interpretation search exceeded {budget} nodes")
+        # reading the clock at every node would slow the small searches
+        if deadline is not None and not nodes % 256 and time.monotonic() > deadline:
+            raise ResourceLimitError("interpretation search passed the deadline")
 
     def batch_forms(t: Term, batched: str) -> tuple[dict[str, np.ndarray], np.ndarray]:
         """Linear form of t where the batched symbol ranges over all its
@@ -495,7 +501,6 @@ def external_termination_check(
     import os
     import subprocess
     import tempfile
-    import time
 
     from .tpdb import format_trs
 
@@ -539,8 +544,8 @@ def prove_relative_termination(
     strictly orienting part of the strict side; strictly oriented rules are
     removed from BOTH sides. An empty strict side concludes the proof. When
     removal stalls, plain termination of the union is attempted instead,
-    last by the external prover until `deadline`. The method is sound for
-    YES only; failure yields MAYBE, never NO.
+    last by the external prover. Every search stops at `deadline`. The method
+    is sound for YES only; failure yields MAYBE, never NO.
     """
     strict = list(P.strict.rules)
     weak = list(P.weak.rules)
@@ -571,7 +576,7 @@ def prove_relative_termination(
         for dim, cmax, constmax, extra in schedules(len(strict) + len(weak)):
             try:
                 found = search_interpretation(
-                    strict, weak, dim, cmax, constmax, budget, extra
+                    strict, weak, dim, cmax, constmax, budget, extra, deadline
                 )
             except ResourceLimitError as e:
                 diagnostics.append(str(e))
@@ -600,10 +605,7 @@ def prove_relative_termination(
     union = fresh_trs(strict + weak)
     if weak and not has_looping_rule(list(union.rules)):
         sub = prove_relative_termination(
-            RelTermProblem(union, TRS(())),
-            dim_max,
-            coef_max,
-            budget,
+            RelTermProblem(union, TRS(())), dim_max, coef_max, budget, deadline=deadline
         )
         if sub.is_yes:
             return yes(
@@ -633,11 +635,12 @@ def prove_termination(
     deadline: Optional[float] = None,
 ) -> Verdict:
     """Plain termination of R (relative termination against the empty system),
-    with the external prover, until `deadline`, as the last resort."""
+    with the external prover as the last resort. Every search stops at
+    `deadline`."""
     if has_looping_rule(list(R.rules)):
         return maybe("termination", reason="looping rule")
     v = prove_relative_termination(
-        RelTermProblem(R, TRS(())), dim_max, coef_max, budget
+        RelTermProblem(R, TRS(())), dim_max, coef_max, budget, deadline=deadline
     )
     if v.is_yes:
         return yes("termination", chain=v.details["chain"])

@@ -113,25 +113,12 @@ def _minimal_keys(keys) -> list[Key]:
 def join_instances(
     R: TRS, s: Term, t: Term, k: int, budget: int = DEFAULT_NODE_BUDGET
 ) -> list[JoinInstance]:
-    """All minimal k-join instances of (s, t), deduplicated by label sequences."""
+    """All minimal k-join instances of (s, t), deduplicated by label sequences,
+    by total length and then label sequences. The first is the least k-join
+    of all, since anything that embeds into it is shorter."""
     candidates = _join_candidates(R, s, t, k, budget)
     return [
         JoinInstance(*key, *candidates[key])
         for key in sorted(_minimal_keys(candidates), key=_order)
     ]
 
-
-def joinable_within(
-    R: TRS, s: Term, t: Term, k: int, budget: int = DEFAULT_NODE_BUDGET
-) -> JoinInstance | None:
-    """The least k-join instance of (s, t) by total length, then label
-    sequences, or None if none exists within the bound.
-
-    It is always minimal, since anything embedding into it is shorter, so it
-    equals ``join_instances(R, s, t, k, budget)[0]``.
-    """
-    candidates = _join_candidates(R, s, t, k, budget)
-    if not candidates:
-        return None
-    key = min(candidates, key=_order)
-    return JoinInstance(*key, *candidates[key])

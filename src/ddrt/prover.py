@@ -11,13 +11,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterator
 
-from . import rule_labeling
+from . import joinability, rule_labeling
 from .critical_pairs import CriticalPair, cps, critical_pairs
 from .errors import ResourceLimitError
 from .interpretations import RelTermProblem, prove_relative_termination, prove_termination
-from .joinability import joinable_within
+from .joinability import JoinInstance
 from .rewriting import (
     TRS,
     closed_reducts,
@@ -66,24 +66,36 @@ class Analysis:
         self.R = R
         self.cfg = cfg or Config()
         self.deadline = time.monotonic() + self.cfg.timeout
+        self._instances: list[list[JoinInstance]] = []
 
     @cached_property
     def pairs(self) -> list[CriticalPair]:
         return critical_pairs(self.R)
 
+    def instances(self) -> Iterator[list[JoinInstance]]:
+        """The minimal join instances within k steps of each critical pair,
+        at most instance_cap of them, in pair order. Each pair is searched
+        on first use; a search over the node budget raises and is not kept."""
+        cfg = self.cfg
+        for i, cp in enumerate(self.pairs):
+            if i == len(self._instances):
+                # through the module, so that wrappers installed on it see the call
+                self._instances.append(joinability.join_instances(
+                    self.R, cp.left, cp.right, cfg.k, cfg.node_budget)[:cfg.instance_cap])
+            yield self._instances[i]
+
     @cached_property
     def joins(self) -> list[dict] | str:
-        """A join witness for every critical pair, or why one is missing."""
-        cfg = self.cfg
+        """The least join instance of every critical pair, or why one is missing."""
+        k = self.cfg.k
         joins = []
-        for cp in self.pairs:
-            try:
-                inst = joinable_within(self.R, cp.left, cp.right, cfg.k, cfg.node_budget)
-            except ResourceLimitError:
-                return f"joinability search hit the node budget at k={cfg.k}"
-            if inst is None:
-                return f"critical pair not shown joinable within {cfg.k} steps"
-            joins.append({"pair": cp, "instance": inst})
+        try:
+            for cp, instances in zip(self.pairs, self.instances()):
+                if not instances:
+                    return f"critical pair not shown joinable within {k} steps"
+                joins.append({"pair": cp, "instance": instances[0]})
+        except ResourceLimitError:
+            return f"joinability search hit the node budget at k={k}"
         return joins
 
     @cached_property
@@ -117,17 +129,17 @@ def check_rule_labeling(a: Analysis) -> Verdict:
     """Confluence of a linear TRS via a satisfiable rule-labeling constraint."""
     if not a.R.is_linear():
         return maybe("rule-labeling", reason="not linear")
-    cfg = a.cfg
     try:
-        formula, witnesses = rule_labeling.build_rl(
-            a.R, a.pairs, cfg.k, cfg.node_budget, cfg.instance_cap)
+        instances = list(a.instances())
     except ResourceLimitError as e:
         return maybe("rule-labeling", reason="resource limit", detail=str(e))
+    formula = rule_labeling.build_rl(a.pairs, instances)
     levels = rule_labeling.solve_precedence(formula, len(a.R))
     if levels is None:
-        return maybe("rule-labeling", reason=f"unsatisfiable at k={cfg.k}")
-    joins = [{"inner": o.inner.index, "outer": o.outer.index, "pos": o.pos,
-              "instances": instances} for o, instances in witnesses]
+        return maybe("rule-labeling", reason=f"unsatisfiable at k={a.cfg.k}")
+    joins = [{"inner": cp.origin.inner.index, "outer": cp.origin.outer.index,
+              "pos": cp.origin.pos, "instances": insts}
+             for cp, insts in zip(a.pairs, instances)]
     return yes("rule-labeling", level_map=levels, formula=formula, joins=joins)
 
 

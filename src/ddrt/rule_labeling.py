@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .critical_pairs import CriticalPair, Overlap
-from .joinability import JoinInstance, join_instances
-from .rewriting import DEFAULT_NODE_BUDGET, TRS
+from .critical_pairs import CriticalPair
+from .joinability import JoinInstance
 
 
 class Formula:
@@ -164,38 +163,24 @@ def build_phi(alpha: int, beta: int, gammas: tuple[int, ...]) -> Formula:
     return disj(disjuncts)
 
 
-def build_rl(
-    R: TRS,
-    pairs: list[CriticalPair],
-    k: int,
-    budget: int = DEFAULT_NODE_BUDGET,
-    instance_cap: int = 64,
-) -> tuple[Formula, list[tuple[Overlap, list[JoinInstance]]]]:
-    """The rule-labeling constraint of R, whose critical pairs are `pairs`,
-    at join bound k.
+def build_rl(pairs: list[CriticalPair], instances: list[list[JoinInstance]]) -> Formula:
+    """The rule-labeling constraint of a system whose critical pairs are
+    `pairs`, given the minimal join instances of each pair.
 
-    Returns the formula together with, per overlap, the minimal join instances
-    that produced its disjunction (witness data for proof traces). An overlap
-    whose critical pair has no k-join contributes an unsatisfiable conjunct.
+    A pair without join instances contributes an unsatisfiable conjunct.
     """
-    conjuncts: list[Formula] = []
-    witnesses: list[tuple[Overlap, list[JoinInstance]]] = []
-    for cp in pairs:
-        o = cp.origin
-        instances = join_instances(R, cp.left, cp.right, k, budget)[:instance_cap]
-        witnesses.append((o, instances))
-        conjuncts.append(
-            disj(
-                conj(
-                    [
-                        build_phi(o.inner.index, o.outer.index, inst.left_seq),
-                        build_phi(o.outer.index, o.inner.index, inst.right_seq),
-                    ]
-                )
-                for inst in instances
+    return conj(
+        disj(
+            conj(
+                [
+                    build_phi(cp.origin.inner.index, cp.origin.outer.index, inst.left_seq),
+                    build_phi(cp.origin.outer.index, cp.origin.inner.index, inst.right_seq),
+                ]
             )
+            for inst in joins
         )
-    return conj(conjuncts), witnesses
+        for cp, joins in zip(pairs, instances)
+    )
 
 
 def solve_precedence(f: Formula, n_rules: int) -> Optional[LevelMap]:

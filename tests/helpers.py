@@ -11,16 +11,20 @@ import random
 from itertools import product
 
 from ddrt import TRS
-from ddrt.critical_pairs import Overlap, _variants
+from ddrt.critical_pairs import Overlap, cps, critical_pairs
 from ddrt.errors import ResourceLimitError
-from ddrt.interpretations import compare_forms, interpret_term
+from ddrt.interpretations import RelTermProblem, compare_forms, interpret_term
+from ddrt.joinability import JoinInstance, join_instances
 from ddrt.rewriting import (
     DEFAULT_NODE_BUDGET,
+    Rule,
+    fresh_trs,
     is_normal_form,
     one_step_reducts,
     rename_apart,
+    split_duplicating,
 )
-from ddrt.rule_labeling import And, Bottom, Formula, Geq, Gt, Or, Top
+from ddrt.rule_labeling import And, Bottom, Formula, Geq, Gt, Or, Top, build_rl
 from ddrt.terms import (
     Fun,
     Subst,
@@ -127,14 +131,14 @@ def replay_join(R: TRS, left: Term, right: Term, inst) -> None:
     assert replay_steps(R, right, inst.right_seq, inst.right_trace) == inst.meet
 
 
-def replay_rounds(chain: list[dict]) -> tuple[list, list]:
-    """Certify the rounds of a rule-removal chain; returns what remains.
+def replay_rounds(chain: list[dict], strict, weak) -> tuple[list, list]:
+    """Certify the rounds of a rule-removal chain that starts from the rules
+    `strict` and `weak`; returns what remains.
 
     Every round must weakly orient all remaining rules and strictly orient
     all removed rules; bookkeeping between rounds must be consistent.
     """
-    strict = list(chain[0]["strict_before"]) if chain else []
-    weak = list(chain[0]["weak_before"]) if chain else []
+    strict, weak = list(strict), list(weak)
     for entry in chain:
         assert list(entry["strict_before"]) == strict
         assert list(entry["weak_before"]) == weak
@@ -153,20 +157,36 @@ def replay_rounds(chain: list[dict]) -> tuple[list, list]:
     return strict, weak
 
 
-def replay_relative(details: dict) -> None:
-    """Certify the relative-termination part of a YES verdict."""
-    strict, weak = replay_rounds(details["chain"])
+def replay_relative(problem: RelTermProblem, details: dict) -> None:
+    """Certify the relative-termination part of a YES verdict on `problem`."""
+    strict, weak = replay_rounds(details["chain"], problem.strict.rules, problem.weak.rules)
     union = details.get("union_termination")
     if union is None:
         assert not strict, "chain ended with strict rules left over"
         return
     # removal stalled but the remaining union was proved terminating outright
     assert union != "external", "external proofs cannot be replayed"
+    assert union, "an empty union proof orients nothing"
     assert {(r.lhs, r.rhs) for r in union[0]["strict_before"]} == {
         (r.lhs, r.rhs) for r in strict + weak
     }, "union proof covers different rules than what remained"
-    left_strict, left_weak = replay_rounds(union)
+    left_strict, left_weak = replay_rounds(union, union[0]["strict_before"], ())
     assert not left_strict and not left_weak, "union chain left rules unoriented"
+
+
+def dd1_problem(R: TRS) -> RelTermProblem:
+    """The relative problem of the duplication split on R: the critical pair
+    steps and the duplicating rules against the other rules."""
+    dup, nondup = split_duplicating(R)
+    return RelTermProblem(fresh_trs([*cps(critical_pairs(R)).rules, *dup.rules]), nondup)
+
+
+def rl_constraint(R: TRS, k: int) -> tuple[Formula, list[list[JoinInstance]]]:
+    """The rule-labeling constraint of R at join bound k, with the minimal
+    join instances of each critical pair that it is built from."""
+    pairs = critical_pairs(R)
+    instances = [join_instances(R, cp.left, cp.right, k) for cp in pairs]
+    return build_rl(pairs, instances), instances
 
 
 def make_random_term(
@@ -301,16 +321,24 @@ def candidates_by_filter(
     return out
 
 
+def variants(r1: Rule, r2: Rule) -> bool:
+    """r1 and r2 are variants iff each rule matches the other as a whole."""
+    pack1 = Fun("", (r1.lhs, r1.rhs))
+    pack2 = Fun("", (r2.lhs, r2.rhs))
+    return match(pack1, pack2) is not None and match(pack2, pack1) is not None
+
+
 def overlaps_by_scan(R: TRS) -> list[Overlap]:
     """All overlaps of R by trying every rule at every function position of
-    every left-hand side, renaming the inner rule apart each time."""
+    every left-hand side, renaming the inner rule apart each time. Root
+    overlaps of a rule with a variant of itself are left out."""
     out: list[Overlap] = []
     for outer in R.rules:
         fun_pos, _ = positions(outer.lhs)
         taken = variables(outer.lhs) | variables(outer.rhs)
         for pos in sorted(fun_pos):
             for inner in R.rules:
-                if pos == () and _variants(inner, outer):
+                if pos == () and variants(inner, outer):
                     continue
                 inner_variant = rename_apart(inner, taken)
                 mgu = unify(inner_variant.lhs, subterm_at(outer.lhs, pos))

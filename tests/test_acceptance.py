@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import time
 
-from ddrt import Config, prove
+from ddrt import TRS, Config, prove
 from ddrt.cli import run
 from ddrt.critical_pairs import cps, critical_pairs
 from ddrt.interpretations import (
@@ -19,9 +19,16 @@ from ddrt.interpretations import (
 )
 from ddrt.joinability import join_instances
 from ddrt.prover import Analysis, check_dd_l2, check_knuth_bendix, check_rule_labeling
-from ddrt.rule_labeling import And, build_phi, build_rl, solve_precedence
+from ddrt.rule_labeling import And, build_phi, solve_precedence
 from conftest import data_path, system, term
-from helpers import eval_formula, replay_join, replay_relative, replay_steps
+from helpers import (
+    dd1_problem,
+    eval_formula,
+    replay_join,
+    replay_relative,
+    replay_steps,
+    rl_constraint,
+)
 
 
 def _first_line(capsys) -> str:
@@ -39,7 +46,7 @@ def test_criterion_1_rule_labeling_end_to_end(stream, capsys):
 
     # the generated constraint is exactly the two-part formula of the
     # system's single overlap (rule indices are 0-based file order)
-    formula, _ = build_rl(stream, critical_pairs(stream), 4)
+    formula, _ = rl_constraint(stream, 4)
     assert formula == And((build_phi(0, 4, (2,)), build_phi(4, 0, (0, 3, 2))))
 
     # the minimal 4-join set of the critical pair is a single instance
@@ -167,7 +174,7 @@ def test_criterion_6_yes_traces_replay_independently(
     # relative termination on the extended stream, both proof layers
     v = check_dd_l2(Analysis(stream_d, cfg))
     assert v.is_yes
-    replay_relative(v.details["relative"])
+    replay_relative(RelTermProblem(cps(critical_pairs(stream_d)), stream_d), v.details["relative"])
     for join in v.details["joins"]:
         replay_join(stream_d, join["pair"].left, join["pair"].right, join["instance"])
 
@@ -176,14 +183,14 @@ def test_criterion_6_yes_traces_replay_independently(
 
     v = check_dd_l1(Analysis(nested_g, cfg))
     assert v.is_yes
-    replay_relative(v.details["relative"])
+    replay_relative(dd1_problem(nested_g), v.details["relative"])
     for join in v.details["joins"]:
         replay_join(nested_g, join["pair"].left, join["pair"].right, join["instance"])
 
     # termination plus joinability on the diamond
     v = check_knuth_bendix(Analysis(diamond, cfg))
     assert v.is_yes
-    replay_relative({"chain": v.details["termination"]["chain"]})
+    replay_relative(RelTermProblem(diamond, TRS(())), {"chain": v.details["termination"]["chain"]})
     for entry in v.details["normalizations"]:
         cp = entry["pair"]
         left_end = _replay_normalization(diamond, cp.left, entry["left_steps"])

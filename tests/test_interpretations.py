@@ -141,6 +141,16 @@ def test_ternary_duplicating_system_kb_answers_within_timeout(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "MAYBE"
 
 
+def test_kb_search_stops_at_the_timeout(tmp_path, capsys):
+    # the interpretation search alone used to run for about 15 s here
+    path = tmp_path / "slow.trs"
+    path.write_text("(RULES c -> b b -> f(g(c),g(a)))")
+    start = time.perf_counter()
+    assert run(["--criterion", "kb", "--timeout", "1", str(path)]) == 0
+    assert time.perf_counter() - start < 3.0
+    assert capsys.readouterr().out.splitlines()[0] == "MAYBE"
+
+
 class TestSearchInterpretation:
     def test_self_loop_has_no_orientation(self):
         P = RelTermProblem(system("a -> a"), TRS(()))
@@ -235,7 +245,17 @@ class TestProveRelativeTermination:
         P = RelTermProblem(cps(critical_pairs(stream_d)), stream_d)
         v = prove_relative_termination(P, dim_max=2)
         assert v.is_yes
-        replay_relative(v.details)
+        replay_relative(P, v.details)
+
+    def test_union_termination_after_removal_stalls(self):
+        # rule removal stalls before its first round; termination of the
+        # union of both sides is shown instead
+        P = RelTermProblem(system("h(b,a) -> a"), system("f(a) -> f(g(h(b,a)))"))
+        v = prove_relative_termination(P, budget=20000)
+        assert v.is_yes
+        assert v.details["chain"] == []
+        assert len(v.details["union_termination"]) == 2
+        replay_relative(P, v.details)
 
     def test_toggle_cp_steps_unprovable(self, toggle):
         # f(a) and f(b) rewrite to each other, so no proof can exist

@@ -9,10 +9,9 @@ import pytest
 from ddrt import trs
 from ddrt.critical_pairs import critical_pairs
 from ddrt.errors import ResourceLimitError
-from ddrt.joinability import join_instances, joinable_within
+from ddrt.joinability import join_instances
 from ddrt.rewriting import one_step_reducts
-from ddrt.tpdb import parse_trs
-from conftest import DATA_DIR, system, term
+from conftest import system, term
 from helpers import embedding_leq, replay_join
 
 
@@ -35,24 +34,23 @@ class TestJoinableWithin:
     def test_stream_critical_pair(self, stream):
         left = term("inc(tl(:(0,inc(nat))))")
         right = term("tl(inc(nat))")
-        inst = joinable_within(stream, left, right, 3)
-        assert inst is not None
+        inst = join_instances(stream, left, right, 3)[0]
         assert inst.left_seq == (2,)
         assert inst.right_seq == (0, 3, 2)
         assert inst.meet == term("inc(inc(nat))")
         replay_join(stream, left, right, inst)
 
     def test_identical_terms(self, stream):
-        inst = joinable_within(stream, term("s(0)"), term("s(0)"), 0)
-        assert inst is not None and inst.seqs == ((), ())
+        inst = join_instances(stream, term("s(0)"), term("s(0)"), 0)[0]
+        assert inst.seqs == ((), ())
 
     def test_distinct_normal_forms(self):
         R = system("a -> b", "c -> d")
-        assert joinable_within(R, term("b"), term("d"), 4) is None
+        assert join_instances(R, term("b"), term("d"), 4) == []
 
     def test_budget_is_distinct_from_absence(self, stream):
         with pytest.raises(ResourceLimitError):
-            joinable_within(stream, term("nat"), term("s(0)"), 6, budget=5)
+            join_instances(stream, term("nat"), term("s(0)"), 6, budget=5)
 
 
 class TestJoinInstances:
@@ -221,33 +219,3 @@ def test_subsequence_filter_matches_quadratic_definition():
         assert keys == sorted(keys)
     assert candidates > 300
 
-
-def _fixture_critical_pairs():
-    for path in sorted(DATA_DIR.glob("*.trs")):
-        R = parse_trs(path.read_text()).trs
-        for cp in critical_pairs(R):
-            yield path.name, R, cp
-
-
-def test_joinable_within_is_least_minimal_instance():
-    """joinable_within skips the minimality filter but returns the same
-    instance as the head of join_instances on every fixture critical pair."""
-    checked = 0
-    for name, R, cp in _fixture_critical_pairs():
-        for k in (2, 4):
-            try:
-                minimal = join_instances(R, cp.left, cp.right, k)
-            except ResourceLimitError:
-                with pytest.raises(ResourceLimitError):
-                    joinable_within(R, cp.left, cp.right, k)
-                continue
-            inst = joinable_within(R, cp.left, cp.right, k)
-            if not minimal:
-                assert inst is None, name
-                continue
-            head = minimal[0]
-            assert (inst.seqs, inst.meet, inst.left_trace, inst.right_trace) == (
-                head.seqs, head.meet, head.left_trace, head.right_trace
-            ), name
-            checked += 1
-    assert checked >= 10

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -12,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from ddrt import Config, prove
-from ddrt.critical_pairs import critical_pairs
+from ddrt.critical_pairs import cps, critical_pairs
+from ddrt.interpretations import RelTermProblem
 from ddrt.prover import (
     Analysis,
     check_dd_l1,
@@ -22,7 +24,7 @@ from ddrt.prover import (
     check_orthogonal,
 )
 from conftest import data_path, system, term
-from helpers import check_normal_form, replay_join, replay_relative
+from helpers import check_normal_form, dd1_problem, replay_join, replay_relative
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +68,7 @@ class TestDdDuplicationSplit:
     def test_nested_g_yes(self, nested_g, cfg):
         v = check_dd_l1(Analysis(nested_g, cfg))
         assert v.is_yes
-        replay_relative(v.details["relative"])
+        replay_relative(dd1_problem(nested_g), v.details["relative"])
         for entry in v.details["joins"]:
             replay_join(nested_g, entry["pair"].left, entry["pair"].right, entry["instance"])
 
@@ -85,7 +87,8 @@ class TestDdRelative:
         for exclude in (False, True):
             v = check_dd_l2(Analysis(stream_d, cfg), exclude_trivial=exclude)
             assert v.is_yes
-            replay_relative(v.details["relative"])
+            problem = RelTermProblem(cps(critical_pairs(stream_d), exclude), stream_d)
+            replay_relative(problem, v.details["relative"])
 
     def test_toggle_maybe(self, toggle, cfg):
         assert check_dd_l2(Analysis(toggle, cfg)).kind == "MAYBE"
@@ -226,24 +229,27 @@ class TestProve:
             assert prove(R, big).is_yes
 
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
 class TestSharedAnalysis:
     def test_one_analysis_per_prove(self, toggle):
         """Auto mode on toggle runs all seven criteria. Under the benchmark's
-        tracer, each runs once, overlaps are computed once, and the dd
-        criteria search a join for each critical pair once between them."""
-        perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+        tracer, each runs once, overlaps are computed once, and rl and the dd
+        criteria search the joins of each critical pair once between them:
+        every join search goes through `_join_candidates`."""
         code = (
             "import contextlib, io, json, sys\n"
-            f"sys.path.insert(0, {str(perfbench)!r})\n"
+            f"sys.path.insert(0, {str(PERFBENCH)!r})\n"
             "from tracing import Tracer\n"
             "tracer = Tracer()\n"
             "tracer.install()\n"
-            "import ddrt.cli, ddrt.prover\n"
-            "joins, search = [], ddrt.prover.joinable_within\n"
-            "ddrt.prover.joinable_within = lambda *a: joins.append(a) or search(*a)\n"
+            "import ddrt.cli, ddrt.joinability as j\n"
+            "searches, search = [], j._join_candidates\n"
+            "j._join_candidates = lambda *a: searches.append(a) or search(*a)\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    ddrt.cli.run([{data_path('toggle.trs')!r}])\n"
-            "print(json.dumps({'layers': tracer.summarize(), 'joins': len(joins)}))\n"
+            "print(json.dumps({'layers': tracer.summarize(), 'searches': len(searches)}))\n"
         )
         src = str(Path(__file__).resolve().parent.parent / "src")
         out = subprocess.run(
@@ -256,7 +262,18 @@ class TestSharedAnalysis:
             assert layers.get(f"prover.{c}.calls") == 1, c
         assert layers["critical_pairs.overlaps.calls"] == 1
         for name in ("rule_labeling.build_rl", "rule_labeling.solve_precedence",
-                     "joinability.join_instances", "interpretations.prove_termination",
+                     "interpretations.prove_termination",
                      "interpretations.prove_relative_termination"):
             assert layers.get(f"{name}.calls", 0) > 0, name
-        assert result["joins"] == len(critical_pairs(toggle)) == 2
+        n_pairs = len(critical_pairs(toggle))
+        assert layers["joinability.join_instances.calls"] == result["searches"] == n_pairs == 2
+
+    def test_traced_functions_are_defined(self):
+        """The tracer skips a target its defining module no longer has, and
+        that target's metrics then read 0, so each one must resolve."""
+        spec = importlib.util.spec_from_file_location("tracing", PERFBENCH / "tracing.py")
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        for _, _, paths, _ in tracing.TARGETS:
+            module, _, attr = paths[0].rpartition(".")
+            assert callable(getattr(importlib.import_module(module), attr, None)), paths[0]

@@ -14,19 +14,18 @@ from ddrt.rule_labeling import (
     Or,
     atom_indices,
     build_phi,
-    build_rl,
     conj,
     disj,
     evaluate,
     solve_precedence,
 )
-from ddrt.critical_pairs import critical_pairs
 from ddrt.prover import Analysis, Config, check_rule_labeling
 from ddrt.tpdb import parse_trs
 from conftest import DATA_DIR, system
 from helpers import (
     eval_formula,
     eval_formula_order,
+    rl_constraint,
     solve_by_enumeration,
     strict_orders,
 )
@@ -59,26 +58,23 @@ class TestBuildPhi:
 
 class TestBuildRl:
     def test_stream(self, stream):
-        formula, witnesses = build_rl(stream, critical_pairs(stream), 4)
+        formula, instances = rl_constraint(stream, 4)
         assert formula == And((build_phi(0, 4, (2,)), build_phi(4, 0, (0, 3, 2))))
-        assert len(witnesses) == 1
-        overlap, instances = witnesses[0]
-        assert (overlap.inner.index, overlap.outer.index) == (0, 4)
-        assert [inst.seqs for inst in instances] == [((2,), (0, 3, 2))]
+        assert [[inst.seqs for inst in joins] for joins in instances] == [[((2,), (0, 3, 2))]]
 
     def test_orthogonal_linear_is_top(self):
         R = system("f(x) -> g(x)", "a -> b")
-        formula, witnesses = build_rl(R, critical_pairs(R), 4)
-        assert formula == TOP and witnesses == []
+        formula, instances = rl_constraint(R, 4)
+        assert formula == TOP and instances == []
 
     def test_unjoinable_overlap_is_bottom(self, fork):
-        formula, _ = build_rl(fork, critical_pairs(fork), 0)
+        formula, _ = rl_constraint(fork, 0)
         assert formula == BOTTOM
 
 
 class TestSolvePrecedence:
     def test_stream_orders_top_rule_highest(self, stream):
-        formula, _ = build_rl(stream, critical_pairs(stream), 4)
+        formula, _ = rl_constraint(stream, 4)
         levels = solve_precedence(formula, 5)
         assert levels is not None
         assert levels[4] > levels[0]
@@ -93,7 +89,7 @@ class TestSolvePrecedence:
         assert solve_precedence(TOP, 3) == {0: 0, 1: 0, 2: 0}
 
     def test_solution_is_total_on_rule_indices(self, stream):
-        formula, _ = build_rl(stream, critical_pairs(stream), 4)
+        formula, _ = rl_constraint(stream, 4)
         levels = solve_precedence(formula, 5)
         assert set(levels) == set(range(5))
 
@@ -151,7 +147,7 @@ def test_solver_returns_the_oracles_map_on_linear_fixtures():
         if not R.is_linear():
             continue
         for k in (2, 4):
-            formula, _ = build_rl(R, critical_pairs(R), k)
+            formula, _ = rl_constraint(R, k)
             assert solve_precedence(formula, len(R)) == solve_by_enumeration(
                 formula, len(R)
             ), f"{path.name} at k={k}"
@@ -168,7 +164,7 @@ def test_unsatisfiable_string_system_is_fast():
         "b(a(x)) -> x",
         "a(a(x)) -> x",
     )
-    formula, _ = build_rl(R, critical_pairs(R), 4)
+    formula, _ = rl_constraint(R, 4)
     start = time.perf_counter()
     assert solve_precedence(formula, len(R)) is None
     assert time.perf_counter() - start < 1.0
