@@ -12,9 +12,8 @@ from .terms import (
     Term,
     Var,
     apply_subst,
-    positions,
+    iter_positions,
     replace_at,
-    subterm_at,
     unify,
     variables,
 )
@@ -52,11 +51,11 @@ def overlaps(R: TRS) -> list[Overlap]:
     forms = {r.index: _canonical(r.lhs, r.rhs) for r in R.rules}
     out: list[Overlap] = []
     for outer in R.rules:
-        fun_pos, _ = positions(outer.lhs)
-        taken = variables(outer.lhs) | variables(outer.rhs)
+        taken = variables(outer.lhs)
         renamed: dict[int, Rule] = {}  # inner rule index -> variant apart from outer
-        for pos in sorted(fun_pos):
-            sub = subterm_at(outer.lhs, pos)
+        for pos, sub in iter_positions(outer.lhs):
+            if isinstance(sub, Var):
+                continue
             # a rule headed by another symbol never unifies with sub
             for inner in R.by_root.get(sub.symbol, ()):
                 if pos == () and forms[inner.index] == forms[outer.index]:

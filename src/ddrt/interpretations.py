@@ -113,14 +113,19 @@ def compare_forms(l: LinearForm, r: LinearForm) -> str:
     return STRICT if l.const[0] > r.const[0] else WEAK
 
 
-def _signature(rules: list[Rule]) -> dict[str, int]:
+def _symbols(rules: list[Rule]) -> tuple[dict[str, int], list[set[str]]]:
+    """The signature of the rules, and the symbols of each rule."""
     sig: dict[str, int] = {}
+    rule_symbols: list[set[str]] = []
     for r in rules:
+        symbols: set[str] = set()
         for t in (r.lhs, r.rhs):
             for _, s in iter_positions(t):
                 if isinstance(s, Fun):
                     sig[s.symbol] = len(s.args)
-    return sig
+                    symbols.add(s.symbol)
+        rule_symbols.append(symbols)
+    return sig, rule_symbols
 
 
 @dataclass(frozen=True)
@@ -180,14 +185,6 @@ def _candidates(arity: int, dim: int, coef_max: int, const_max: int,
     consts = flat[:, split:]
     mats.flags.writeable = consts.flags.writeable = False
     return _Candidates(tuple(w for _, w in prefixes), mats, consts)
-
-
-def _rule_symbols(all_rules: list[Rule]) -> list[set[str]]:
-    return [
-        {s.symbol for _, s in iter_positions(r.lhs) if isinstance(s, Fun)}
-        | {s.symbol for _, s in iter_positions(r.rhs) if isinstance(s, Fun)}
-        for r in all_rules
-    ]
 
 
 def _assignment_plan(
@@ -260,8 +257,7 @@ def search_interpretation(
     import numpy as np
 
     all_rules = strict_rules + weak_rules
-    sig = _signature(all_rules)
-    rule_symbols = _rule_symbols(all_rules)
+    sig, rule_symbols = _symbols(all_rules)
     n_strict = len(strict_rules)
 
     cands = {
@@ -481,11 +477,7 @@ def search_interpretation(
 def has_looping_rule(rules: list[Rule]) -> bool:
     """True if some rule rewrites its own lhs into a term containing an lhs
     instance, an immediate witness of nontermination."""
-    for r in rules:
-        for _, s in iter_positions(r.rhs):
-            if isinstance(s, Fun) and match(r.lhs, s) is not None:
-                return True
-    return False
+    return any(match(r.lhs, s) is not None for r in rules for _, s in iter_positions(r.rhs))
 
 
 def external_termination_check(
@@ -544,13 +536,18 @@ def prove_relative_termination(
     strictly orienting part of the strict side; strictly oriented rules are
     removed from BOTH sides. An empty strict side concludes the proof. When
     removal stalls, plain termination of the union is attempted instead,
-    last by the external prover. Every search stops at `deadline`. The method
-    is sound for YES only; failure yields MAYBE, never NO.
+    last by the external prover. Every search stops at `deadline`: a search
+    that raises past it ends the method with the reason "timeout". The
+    method is sound for YES only; failure yields MAYBE, never NO.
     """
     strict = list(P.strict.rules)
     weak = list(P.weak.rules)
     chain: list[dict] = []
     diagnostics: list[str] = []
+
+    def timeout() -> Verdict:
+        return maybe("relative-termination", reason="timeout",
+                      diagnostics=diagnostics, chain=chain)
 
     if has_looping_rule(strict):
         return maybe(
@@ -580,6 +577,8 @@ def prove_relative_termination(
                 )
             except ResourceLimitError as e:
                 diagnostics.append(str(e))
+                if deadline is not None and time.monotonic() > deadline:
+                    return timeout()
             if found is not None:
                 break
         if found is None:
@@ -613,6 +612,9 @@ def prove_relative_termination(
                 chain=chain,
                 union_termination=sub.details["chain"],
             )
+        if sub.details["reason"] == "timeout":
+            diagnostics.extend(sub.details["diagnostics"])
+            return timeout()
         diagnostics.append("union termination not shown internally")
     if external_command is not None:
         if external_termination_check(union, external_command, deadline) == "yes":

@@ -147,7 +147,8 @@ def check_knuth_bendix(a: Analysis) -> Verdict:
     R = a.R
     termination = a.terminates(R)
     if not termination.is_yes:
-        return maybe("knuth-bendix", reason="termination not shown")
+        timed_out = termination.details["reason"] == "timeout"
+        return maybe("knuth-bendix", reason="timeout" if timed_out else "termination not shown")
     normalizations = []
     for cp in a.pairs:
         try:

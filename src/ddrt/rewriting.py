@@ -10,12 +10,12 @@ from .errors import ResourceLimitError
 from .terms import (
     Fun,
     Position,
+    Subst,
     Term,
     Var,
     apply_subst,
     iter_positions,
     match,
-    rename_vars,
     replace_at,
     variable_occurrences,
     variables,
@@ -32,7 +32,7 @@ class Rule:
 
     def __post_init__(self) -> None:
         if isinstance(self.lhs, Var):
-            raise ValueError(f"rule {self.index}: left-hand side is a variable")
+            raise ValueError(f"rule {self.index}: left-hand side is the variable {self.lhs}")
         extra = variables(self.rhs) - variables(self.lhs)
         if extra:
             raise ValueError(
@@ -85,9 +85,9 @@ class TRS:
 
     @cached_property
     def by_root(self) -> dict[str, tuple[Rule, ...]]:
-        """Rules grouped by the root symbol of their left-hand side, in file order."""
+        """Rules grouped by the root symbol of their left-hand side, in index order."""
         index: dict[str, list[Rule]] = {}
-        for r in self.rules:
+        for r in sorted(self.rules, key=lambda r: r.index):
             index.setdefault(r.lhs.symbol, []).append(r)
         return {f: tuple(rs) for f, rs in index.items()}
 
@@ -140,17 +140,18 @@ def split_duplicating(R: TRS) -> tuple[TRS, TRS]:
 
 def rename_apart(r: Rule, taken: set[str]) -> Rule:
     """A variant of r whose variables avoid `taken` (bijective renaming)."""
-    mapping: dict[str, str] = {}
+    renaming: Subst = {}
     used = set(taken)
-    for x in sorted(variables(r.lhs) | variables(r.rhs)):
+    for x in sorted(variables(r.lhs)):  # the right-hand side has no others
         fresh = x
         while fresh in used:
             fresh += "'"
-        mapping[x] = fresh
         used.add(fresh)
-    if all(k == v for k, v in mapping.items()):
+        if fresh != x:
+            renaming[x] = Var(fresh)
+    if not renaming:
         return r
-    return Rule(r.index, rename_vars(r.lhs, mapping), rename_vars(r.rhs, mapping))
+    return Rule(r.index, apply_subst(renaming, r.lhs), apply_subst(renaming, r.rhs))
 
 
 def pumps(r: Rule) -> bool:
@@ -165,13 +166,11 @@ def pumps(r: Rule) -> bool:
     return any(p and match(r.lhs, s) is not None for p, s in iter_positions(r.rhs))
 
 
-def _step_order(step: tuple[int, Position, Term]) -> tuple[Position, int]:
-    return step[1], step[0]
-
-
-def one_step_reducts(R: TRS, t: Term) -> set[tuple[int, Position, Term]]:
-    """All (rule index, position, reduct) triples of one-step rewriting."""
-    out: set[tuple[int, Position, Term]] = set()
+def one_step_reducts(R: TRS, t: Term) -> list[tuple[int, Position, Term]]:
+    """All (rule index, position, reduct) triples of one-step rewriting, by
+    position in lexicographic order (see `iter_positions`) and then by rule
+    index."""
+    out: list[tuple[int, Position, Term]] = []
     by_root = R.by_root
     for p, s in iter_positions(t):
         if isinstance(s, Var):
@@ -179,7 +178,7 @@ def one_step_reducts(R: TRS, t: Term) -> set[tuple[int, Position, Term]]:
         for r in by_root.get(s.symbol, ()):
             sigma = match(r.lhs, s)
             if sigma is not None:
-                out.add((r.index, p, replace_at(t, p, apply_subst(sigma, r.rhs))))
+                out.append((r.index, p, replace_at(t, p, apply_subst(sigma, r.rhs))))
     return out
 
 
@@ -199,7 +198,7 @@ def closed_reducts(
     while frontier:
         nxt: list[Term] = []
         for s in frontier:
-            for i, _, u in sorted(one_step_reducts(R, s), key=_step_order):
+            for i, _, u in one_step_reducts(R, s):
                 if i in pumping:
                     raise ResourceLimitError(
                         f"reduct closure is infinite: rule {i} pumps"
@@ -234,7 +233,7 @@ def normalize(
         reducts = one_step_reducts(R, t)
         if not reducts:
             return t, steps
-        step = min(reducts, key=_step_order)
+        step = reducts[0]
         steps.append(step)
         t = step[2]
     raise ResourceLimitError(f"normalization exceeded {budget} steps")

@@ -3,6 +3,12 @@
 Terms are immutable and hashable. Positions are tuples of 1-based argument
 indices; the empty tuple addresses the root. Substitutions are plain dicts
 from variable name to term and never contain identity bindings.
+
+`iter_positions` is the one walk over a term. It yields positions in
+lexicographic order (preorder: a position before its extensions, and left
+arguments before right ones), which is the order in which the prover visits
+redexes. `variables`, `variable_occurrences` and the occurs check of `unify`
+are built on it, so none of them recurses.
 """
 
 from __future__ import annotations
@@ -55,27 +61,8 @@ class Fun(Term):
 Subst = dict[str, Term]
 
 
-def variables(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    out: set[str] = set()
-    for a in t.args:
-        out |= variables(a)
-    return out
-
-
-def variable_occurrences(t: Term) -> list[str]:
-    """Variable names in left-to-right order, with repetitions."""
-    if isinstance(t, Var):
-        return [t.name]
-    out: list[str] = []
-    for a in t.args:
-        out.extend(variable_occurrences(a))
-    return out
-
-
 def iter_positions(t: Term) -> Iterator[tuple[Position, Term]]:
-    """All (position, subterm) pairs in outermost-leftmost (preorder) order."""
+    """All (position, subterm) pairs, positions in lexicographic order."""
     stack: list[tuple[Position, Term]] = [(EPSILON, t)]
     while stack:
         p, s = stack.pop()
@@ -85,21 +72,13 @@ def iter_positions(t: Term) -> Iterator[tuple[Position, Term]]:
                 stack.append((p + (i,), s.args[i - 1]))
 
 
-def positions(t: Term) -> tuple[set[Position], set[Position]]:
-    """Partition the positions of t into function positions and variable positions."""
-    fun_pos: set[Position] = set()
-    var_pos: set[Position] = set()
-    for p, s in iter_positions(t):
-        (fun_pos if isinstance(s, Fun) else var_pos).add(p)
-    return fun_pos, var_pos
+def variable_occurrences(t: Term) -> list[str]:
+    """Variable names in left-to-right order, with repetitions."""
+    return [s.name for _, s in iter_positions(t) if isinstance(s, Var)]
 
 
-def subterm_at(t: Term, p: Position) -> Term:
-    for i in p:
-        if not isinstance(t, Fun) or not 1 <= i <= len(t.args):
-            raise ValueError(f"invalid position {p} in {t}")
-        t = t.args[i - 1]
-    return t
+def variables(t: Term) -> set[str]:
+    return set(variable_occurrences(t))
 
 
 def replace_at(t: Term, p: Position, u: Term) -> Term:
@@ -144,12 +123,6 @@ def match(pattern: Term, subject: Term) -> Optional[Subst]:
     return _strip_identities(sigma)
 
 
-def _occurs(name: str, t: Term) -> bool:
-    if isinstance(t, Var):
-        return t.name == name
-    return any(_occurs(name, a) for a in t.args)
-
-
 def unify(s: Term, t: Term) -> Optional[Subst]:
     """Idempotent most general unifier of s and t (occurs check on), or None."""
     sigma: Subst = {}
@@ -163,7 +136,7 @@ def unify(s: Term, t: Term) -> Optional[Subst]:
         if isinstance(a, Fun) and isinstance(b, Var):
             a, b = b, a
         if isinstance(a, Var):
-            if _occurs(a.name, b):
+            if any(u == a for _, u in iter_positions(b)):
                 return None
             binding = {a.name: b}
             sigma = {x: apply_subst(binding, u) for x, u in sigma.items()}
@@ -174,8 +147,3 @@ def unify(s: Term, t: Term) -> Optional[Subst]:
             return None
     return _strip_identities(sigma)
 
-
-def rename_vars(t: Term, mapping: dict[str, str]) -> Term:
-    if isinstance(t, Var):
-        return Var(mapping.get(t.name, t.name))
-    return Fun(t.symbol, tuple(rename_vars(a, mapping) for a in t.args))

@@ -81,7 +81,7 @@ def parse_trs(text: str) -> ParsedProblem:
     try:
         return _parse(text)
     except RecursionError as e:
-        # the parser and the term functions recurse once per nesting level
+        # the parser recurses once per nesting level
         raise ParseError("term nested too deeply") from e
 
 
@@ -109,18 +109,8 @@ def _parse(text: str) -> ParsedProblem:
             parser.skip_section()
     if not saw_rules:
         raise ParseError("no (RULES ...) section")
-    rules = []
-    for i, (lhs, rhs) in enumerate(pairs):
-        if isinstance(lhs, Var):
-            raise ParseError(f"rule {i}: left-hand side is the variable {lhs}")
-        extra = variables(rhs) - variables(lhs)
-        if extra:
-            raise ParseError(
-                f"rule {i}: extra variables {sorted(extra)} in right-hand side"
-            )
-        rules.append(Rule(i, lhs, rhs))
     try:
-        system = TRS(tuple(rules))
+        system = TRS(tuple(Rule(i, lhs, rhs) for i, (lhs, rhs) in enumerate(pairs)))
     except ValueError as e:
         raise ParseError(str(e)) from e
     return ParsedProblem(system)

@@ -27,13 +27,13 @@ from ddrt.rewriting import (
 from ddrt.rule_labeling import And, Bottom, Formula, Geq, Gt, Or, Top, build_rl
 from ddrt.terms import (
     Fun,
+    Position,
     Subst,
     Term,
     Var,
     apply_subst,
+    iter_positions,
     match,
-    positions,
-    subterm_at,
     unify,
     variables,
 )
@@ -208,6 +208,23 @@ def make_random_term(
         make_random_term(rng, signature, variables, depth - 1) for _ in range(arity)
     )
     return Fun(name, args)
+
+
+def positions(t: Term) -> tuple[set[Position], set[Position]]:
+    """Partition the positions of t into function positions and variable positions."""
+    fun_pos: set[Position] = set()
+    var_pos: set[Position] = set()
+    for p, s in iter_positions(t):
+        (fun_pos if isinstance(s, Fun) else var_pos).add(p)
+    return fun_pos, var_pos
+
+
+def subterm_at(t: Term, p: Position) -> Term:
+    for i in p:
+        if not isinstance(t, Fun) or not 1 <= i <= len(t.args):
+            raise ValueError(f"invalid position {p} in {t}")
+        t = t.args[i - 1]
+    return t
 
 
 def check_normal_form(R: TRS, t: Term) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import stat
 import tempfile
@@ -146,9 +147,21 @@ def test_kb_search_stops_at_the_timeout(tmp_path, capsys):
     path = tmp_path / "slow.trs"
     path.write_text("(RULES c -> b b -> f(g(c),g(a)))")
     start = time.perf_counter()
-    assert run(["--criterion", "kb", "--timeout", "1", str(path)]) == 0
+    assert run(["--criterion", "kb", "--timeout", "1", "--proof", str(path)]) == 0
     assert time.perf_counter() - start < 3.0
-    assert capsys.readouterr().out.splitlines()[0] == "MAYBE"
+    verdict, proof = capsys.readouterr().out.split("\n", 1)
+    assert verdict == "MAYBE"
+    assert json.loads(proof)["details"]["per_criterion"]["kb"] == {"reason": "timeout"}
+
+
+def test_search_past_the_deadline_answers_timeout_once():
+    # every schedule and the union search used to run on after the deadline
+    R = system("c -> b", "b -> f(g(c),g(a))")
+    start = time.monotonic()
+    v = prove_relative_termination(RelTermProblem(R, TRS(())), deadline=start + 1)
+    assert time.monotonic() - start < 3.0
+    assert v.kind == "MAYBE" and v.details["reason"] == "timeout"
+    assert v.details["diagnostics"] == ["interpretation search passed the deadline"]
 
 
 class TestSearchInterpretation:

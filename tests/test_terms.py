@@ -13,14 +13,13 @@ from ddrt.terms import (
     Var,
     apply_subst,
     match,
-    positions,
     replace_at,
-    subterm_at,
     unify,
+    variable_occurrences,
     variables,
 )
 from conftest import term
-from helpers import make_random_term, term_size
+from helpers import make_random_term, positions, subterm_at, term_size
 
 
 class TestPositions:
@@ -108,6 +107,29 @@ class TestUnify:
         mu = unify(term("x"), term("g(a)"))
         assert mu is not None
         assert apply_subst(mu, term("x")) == term("g(a)")
+
+
+class TestDeepTerms:
+    """The term walkers use no recursion, so a term 5000 levels deep, far
+    past the interpreter's recursion limit, is walked like any other."""
+
+    DEPTH = 5000
+
+    def deep(self):
+        t = Var("x")
+        for i in range(self.DEPTH):
+            t = Fun("f", (t, Var("y"))) if i == 0 else Fun("g", (t,))
+        return t
+
+    def test_variables(self):
+        assert variables(self.deep()) == {"x", "y"}
+
+    def test_variable_occurrences(self):
+        assert variable_occurrences(self.deep()) == ["x", "y"]
+
+    def test_unify_occurs_check(self):
+        assert unify(Var("x"), self.deep()) is None
+        assert unify(self.deep(), Var("y")) is None
 
 
 def _random_pair(rng: random.Random):
