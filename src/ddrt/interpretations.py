@@ -113,19 +113,14 @@ def compare_forms(l: LinearForm, r: LinearForm) -> str:
     return STRICT if l.const[0] > r.const[0] else WEAK
 
 
-def _symbols(rules: list[Rule]) -> tuple[dict[str, int], list[set[str]]]:
-    """The signature of the rules, and the symbols of each rule."""
+def _signature(rules: list[Rule]) -> dict[str, int]:
     sig: dict[str, int] = {}
-    rule_symbols: list[set[str]] = []
     for r in rules:
-        symbols: set[str] = set()
         for t in (r.lhs, r.rhs):
             for _, s in iter_positions(t):
                 if isinstance(s, Fun):
                     sig[s.symbol] = len(s.args)
-                    symbols.add(s.symbol)
-        rule_symbols.append(symbols)
-    return sig, rule_symbols
+    return sig
 
 
 @dataclass(frozen=True)
@@ -185,6 +180,14 @@ def _candidates(arity: int, dim: int, coef_max: int, const_max: int,
     consts = flat[:, split:]
     mats.flags.writeable = consts.flags.writeable = False
     return _Candidates(tuple(w for _, w in prefixes), mats, consts)
+
+
+def _rule_symbols(all_rules: list[Rule]) -> list[set[str]]:
+    return [
+        {s.symbol for _, s in iter_positions(r.lhs) if isinstance(s, Fun)}
+        | {s.symbol for _, s in iter_positions(r.rhs) if isinstance(s, Fun)}
+        for r in all_rules
+    ]
 
 
 def _assignment_plan(
@@ -257,7 +260,8 @@ def search_interpretation(
     import numpy as np
 
     all_rules = strict_rules + weak_rules
-    sig, rule_symbols = _symbols(all_rules)
+    sig = _signature(all_rules)
+    rule_symbols = _rule_symbols(all_rules)
     n_strict = len(strict_rules)
 
     cands = {
@@ -477,7 +481,11 @@ def search_interpretation(
 def has_looping_rule(rules: list[Rule]) -> bool:
     """True if some rule rewrites its own lhs into a term containing an lhs
     instance, an immediate witness of nontermination."""
-    return any(match(r.lhs, s) is not None for r in rules for _, s in iter_positions(r.rhs))
+    for r in rules:
+        for _, s in iter_positions(r.rhs):
+            if isinstance(s, Fun) and match(r.lhs, s) is not None:
+                return True
+    return False
 
 
 def external_termination_check(

@@ -185,7 +185,8 @@ def _check_dd(
     problem, shown = relative()
     rel = a.terminates(problem)
     if not rel.is_yes:
-        return maybe(name, reason="relative termination not shown", relative=rel.details)
+        why = "timeout" if rel.details["reason"] == "timeout" else "relative termination not shown"
+        return maybe(name, reason=why, relative=rel.details)
     return yes(name, joins=a.joins, **shown, relative=rel.details)
 
 

@@ -100,10 +100,6 @@ def apply_subst(sigma: Subst, t: Term) -> Term:
     return Fun(t.symbol, tuple(apply_subst(sigma, a) for a in t.args))
 
 
-def _strip_identities(sigma: Subst) -> Subst:
-    return {x: s for x, s in sigma.items() if not (isinstance(s, Var) and s.name == x)}
-
-
 def match(pattern: Term, subject: Term) -> Optional[Subst]:
     """Substitution sigma with pattern*sigma == subject, or None."""
     sigma: Subst = {}
@@ -120,7 +116,7 @@ def match(pattern: Term, subject: Term) -> Optional[Subst]:
             stack.extend(zip(p.args, s.args))
         else:
             return None
-    return _strip_identities(sigma)
+    return {x: s for x, s in sigma.items() if not (isinstance(s, Var) and s.name == x)}
 
 
 def unify(s: Term, t: Term) -> Optional[Subst]:
@@ -145,5 +141,5 @@ def unify(s: Term, t: Term) -> Optional[Subst]:
             queue.extend(zip(a.args, b.args))
         else:
             return None
-    return _strip_identities(sigma)
+    return sigma
 

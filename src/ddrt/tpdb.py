@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .rewriting import TRS, Rule
+from .rewriting import TRS, trs
 from .terms import Fun, Term, Var, variables
 
 _TOKEN = re.compile(r"->|[(),]|[^\s(),]+")
@@ -110,10 +110,9 @@ def _parse(text: str) -> ParsedProblem:
     if not saw_rules:
         raise ParseError("no (RULES ...) section")
     try:
-        system = TRS(tuple(Rule(i, lhs, rhs) for i, (lhs, rhs) in enumerate(pairs)))
+        return ParsedProblem(trs(pairs))
     except ValueError as e:
         raise ParseError(str(e)) from e
-    return ParsedProblem(system)
 
 
 def format_trs(R: TRS) -> str:

@@ -97,6 +97,16 @@ class TestDdRelative:
         assert check_dd_l2(Analysis(ortho, cfg)).is_yes
 
 
+def test_dd_past_the_deadline_reports_timeout(stream_d, cfg):
+    # dd1 fails and dd2 succeeds on stream_d, so only the deadline explains the reason
+    for check in (check_dd_l1, check_dd_l2):
+        a = Analysis(stream_d, cfg)
+        a.deadline = time.monotonic()
+        v = check(a)
+        assert v.kind == "MAYBE" and v.details["reason"] == "timeout"
+        assert v.details["relative"]["diagnostics"] == ["interpretation search passed the deadline"]
+
+
 class TestNonconfluence:
     def test_fork_no(self, fork, cfg):
         v = check_nonconfluence(Analysis(fork, cfg))

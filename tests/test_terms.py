@@ -103,6 +103,10 @@ class TestUnify:
     def test_clash(self):
         assert unify(term("f(a,x)"), term("f(b,y)")) is None
 
+    def test_no_identity_bindings(self):
+        assert unify(term("x"), term("x")) == {}
+        assert unify(term("f(x,y)"), term("f(y,x)")) == {"y": Var("x")}
+
     def test_variable_with_term(self):
         mu = unify(term("x"), term("g(a)"))
         assert mu is not None
@@ -158,6 +162,7 @@ def test_unification_properties_random():
         # idempotence: applying mu twice changes nothing
         for x, image in mu.items():
             assert apply_subst(mu, image) == image
+            assert image != Var(x), "identity binding"
         # most-generality: any other unifier factors through mu
         shared = sorted(variables(s) | variables(t))
         ground = {
