@@ -119,12 +119,13 @@ def _run_single(files: list[str], cfg: Config, proof: bool) -> int:
     return 0
 
 
-def _batch_worker(item: tuple[str, Config]) -> tuple[str, str]:
+def _batch_worker(item: tuple[str, Config]) -> tuple[str, str, str]:
+    """The path, its verdict or ERROR, and the error message ('' if none)."""
     path, cfg = item
     try:
-        return path, _prove_file(path, cfg).kind
-    except (ParseError, UnicodeError, OSError):
-        return path, "ERROR"
+        return path, _prove_file(path, cfg).kind, ""
+    except (ParseError, UnicodeError, OSError) as e:
+        return path, "ERROR", str(e)
 
 
 def _run_batch(directory: str, cfg: Config) -> int:
@@ -136,12 +137,13 @@ def _run_batch(directory: str, cfg: Config) -> int:
         return 2
     workers = min(len(paths), os.cpu_count() or 1)
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        results = dict(pool.map(_batch_worker, [(p, cfg) for p in paths]))
+        results = list(pool.map(_batch_worker, [(p, cfg) for p in paths]))
     counts: Counter[str] = Counter()
-    for path in paths:
-        kind = results[path]
+    for path, kind, message in results:
         counts[kind] += 1
         print(f"{path}\t{kind}")
+        if kind == "ERROR":
+            print(f"error: {path}: {message}", file=sys.stderr)
     total = sum(counts.values())
     print(
         f"total {total}  YES {counts['YES']}  NO {counts['NO']}  "

@@ -113,14 +113,20 @@ def compare_forms(l: LinearForm, r: LinearForm) -> str:
     return STRICT if l.const[0] > r.const[0] else WEAK
 
 
-def _signature(rules: list[Rule]) -> dict[str, int]:
+def _signature(rules: list[Rule]) -> tuple[dict[str, int], list[set[str]]]:
+    """The arity of every function symbol of the rules, and each rule's
+    function symbols."""
     sig: dict[str, int] = {}
+    rule_symbols: list[set[str]] = []
     for r in rules:
+        symbols: set[str] = set()
         for t in (r.lhs, r.rhs):
             for _, s in iter_positions(t):
                 if isinstance(s, Fun):
                     sig[s.symbol] = len(s.args)
-    return sig
+                    symbols.add(s.symbol)
+        rule_symbols.append(symbols)
+    return sig, rule_symbols
 
 
 @dataclass(frozen=True)
@@ -180,14 +186,6 @@ def _candidates(arity: int, dim: int, coef_max: int, const_max: int,
     consts = flat[:, split:]
     mats.flags.writeable = consts.flags.writeable = False
     return _Candidates(tuple(w for _, w in prefixes), mats, consts)
-
-
-def _rule_symbols(all_rules: list[Rule]) -> list[set[str]]:
-    return [
-        {s.symbol for _, s in iter_positions(r.lhs) if isinstance(s, Fun)}
-        | {s.symbol for _, s in iter_positions(r.rhs) if isinstance(s, Fun)}
-        for r in all_rules
-    ]
 
 
 def _assignment_plan(
@@ -260,8 +258,7 @@ def search_interpretation(
     import numpy as np
 
     all_rules = strict_rules + weak_rules
-    sig = _signature(all_rules)
-    rule_symbols = _rule_symbols(all_rules)
+    sig, rule_symbols = _signature(all_rules)
     n_strict = len(strict_rules)
 
     cands = {

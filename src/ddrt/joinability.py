@@ -9,6 +9,7 @@ kept in the traces only.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
@@ -20,6 +21,8 @@ from .terms import Position, Term
 Trace = tuple[tuple[Position, Term], ...]
 Seq = tuple[int, ...]
 Key = tuple[Seq, Seq]
+# each expanded term's one-step reducts, in the order the search visits them
+Reducts = dict[Term, list[tuple[int, Position, Term]]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,16 +39,25 @@ class JoinInstance:
 
 
 def _label_reachable(
-    R: TRS, t: Term, k: int, budget: int
+    R: TRS, t: Term, k: int, budget: int, reducts: Reducts, deadline: float | None
 ) -> dict[Term, dict[tuple[int, ...], Trace]]:
-    """Map each term reachable within k steps to its label sequences and traces."""
+    """Map each term reachable within k steps to its label sequences and traces.
+
+    A term's reducts are looked up in `reducts` and computed only on a miss,
+    so a term reached by many label sequences, or by many searches sharing
+    the dict, is expanded once. Raises `ResourceLimitError` past the budget
+    or past `deadline`, a time.monotonic() value (None sets no deadline).
+    """
     reached: dict[Term, dict[tuple[int, ...], Trace]] = {t: {(): ()}}
     frontier: list[tuple[Term, tuple[int, ...], Trace]] = [(t, (), ())]
     states = 1
     for _ in range(k):
         nxt: list[tuple[Term, tuple[int, ...], Trace]] = []
         for s, seq, trace in frontier:
-            for idx, pos, u in sorted(one_step_reducts(R, s)):
+            steps = reducts.get(s)
+            if steps is None:
+                steps = reducts[s] = sorted(one_step_reducts(R, s))
+            for idx, pos, u in steps:
                 useq = seq + (idx,)
                 per_term = reached.setdefault(u, {})
                 if useq in per_term:
@@ -56,18 +68,22 @@ def _label_reachable(
                     raise ResourceLimitError(
                         f"joinability search exceeded {budget} states"
                     )
+                # reading the clock at every state would slow the small searches
+                if deadline is not None and not states % 256 and time.monotonic() > deadline:
+                    raise ResourceLimitError("joinability search passed the deadline")
                 nxt.append((u, useq, utrace))
         frontier = nxt
     return reached
 
 
 def _join_candidates(
-    R: TRS, s: Term, t: Term, k: int, budget: int
+    R: TRS, s: Term, t: Term, k: int, budget: int, reducts: Reducts,
+    deadline: float | None,
 ) -> dict[Key, tuple[Term, Trace, Trace]]:
     """Every k-join of (s, t) by label sequences, with the first meet and
     traces found for each."""
-    left = _label_reachable(R, s, k, budget)
-    right = _label_reachable(R, t, k, budget)
+    left = _label_reachable(R, s, k, budget, reducts, deadline)
+    right = _label_reachable(R, t, k, budget, reducts, deadline)
     candidates: dict[Key, tuple[Term, Trace, Trace]] = {}
     # left is filled in a fixed breadth-first order over sorted reducts, so
     # walking it (not a set of meets) keeps the first meet hash-independent
@@ -111,14 +127,20 @@ def _minimal_keys(keys) -> list[Key]:
 
 
 def join_instances(
-    R: TRS, s: Term, t: Term, k: int, budget: int = DEFAULT_NODE_BUDGET
+    R: TRS, s: Term, t: Term, k: int, budget: int = DEFAULT_NODE_BUDGET,
+    reducts: Reducts | None = None, deadline: float | None = None,
 ) -> list[JoinInstance]:
     """All minimal k-join instances of (s, t), deduplicated by label sequences,
     by total length and then label sequences. The first is the least k-join
-    of all, since anything that embeds into it is shorter."""
-    candidates = _join_candidates(R, s, t, k, budget)
+    of all, since anything that embeds into it is shorter.
+
+    `reducts` memoizes one-step reducts of R; pass the same dict to every
+    search over R to expand each term once. Without it, the two sides share
+    a fresh one. The search stops at `deadline` (see `_label_reachable`)."""
+    if reducts is None:
+        reducts = {}
+    candidates = _join_candidates(R, s, t, k, budget, reducts, deadline)
     return [
         JoinInstance(*key, *candidates[key])
         for key in sorted(_minimal_keys(candidates), key=_order)
     ]
-

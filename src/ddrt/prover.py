@@ -67,6 +67,10 @@ class Analysis:
         self.cfg = cfg or Config()
         self.deadline = time.monotonic() + self.cfg.timeout
         self._instances: list[list[JoinInstance]] = []
+        self._reducts: joinability.Reducts = {}
+
+    def timed_out(self) -> bool:
+        return time.monotonic() > self.deadline
 
     @cached_property
     def pairs(self) -> list[CriticalPair]:
@@ -75,13 +79,16 @@ class Analysis:
     def instances(self) -> Iterator[list[JoinInstance]]:
         """The minimal join instances within k steps of each critical pair,
         at most instance_cap of them, in pair order. Each pair is searched
-        on first use; a search over the node budget raises and is not kept."""
+        on first use, and every search shares one memo of one-step reducts;
+        a search over the node budget or past the deadline raises and is not
+        kept."""
         cfg = self.cfg
         for i, cp in enumerate(self.pairs):
             if i == len(self._instances):
                 # through the module, so that wrappers installed on it see the call
                 self._instances.append(joinability.join_instances(
-                    self.R, cp.left, cp.right, cfg.k, cfg.node_budget)[:cfg.instance_cap])
+                    self.R, cp.left, cp.right, cfg.k, cfg.node_budget, self._reducts,
+                    self.deadline)[:cfg.instance_cap])
             yield self._instances[i]
 
     @cached_property
@@ -95,6 +102,8 @@ class Analysis:
                     return f"critical pair not shown joinable within {k} steps"
                 joins.append({"pair": cp, "instance": instances[0]})
         except ResourceLimitError:
+            if self.timed_out():
+                return "timeout"
             return f"joinability search hit the node budget at k={k}"
         return joins
 
@@ -132,7 +141,8 @@ def check_rule_labeling(a: Analysis) -> Verdict:
     try:
         instances = list(a.instances())
     except ResourceLimitError as e:
-        return maybe("rule-labeling", reason="resource limit", detail=str(e))
+        why = "timeout" if a.timed_out() else "resource limit"
+        return maybe("rule-labeling", reason=why, detail=str(e))
     formula = rule_labeling.build_rl(a.pairs, instances)
     levels = rule_labeling.solve_precedence(formula, len(a.R))
     if levels is None:
@@ -263,7 +273,7 @@ def prove(R: TRS, cfg: Config | None = None) -> Verdict:
     a = Analysis(R, cfg)
     reasons: dict[str, dict] = {}
     for name in a.cfg.criteria:
-        if time.monotonic() > a.deadline:
+        if a.timed_out():
             reasons["timeout"] = {"reason": f"global timeout of {a.cfg.timeout}s reached"}
             break
         try:

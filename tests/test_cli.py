@@ -289,6 +289,18 @@ class TestRunBatch:
         assert verdicts[str(tmp_path / "deep.trs")] == "ERROR"
         assert verdicts[str(tmp_path / "fork.trs")] == "NO"
 
+    def test_error_lines_carry_their_messages_on_stderr(self, tmp_path, capsys):
+        (tmp_path / "b.trs").write_text("(RULES f(x -> a)")
+        (tmp_path / "a.trs").write_bytes(b"(RULES \xff -> a)")
+        (tmp_path / "fork.trs").write_text((DATA_DIR / "fork.trs").read_text())
+        assert run(["--batch", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        broken = [str(tmp_path / name) for name in ("a.trs", "b.trs")]
+        assert [f"{p}\tERROR" for p in broken] == captured.out.splitlines()[:2]
+        errors = captured.err.splitlines()
+        assert [line.split(": ")[1] for line in errors] == broken
+        assert errors[1] == f"error: {broken[1]}: expected ')', got '->' (at token 5)"
+
     def test_empty_directory(self, tmp_path, capsys):
         assert run(["--batch", str(tmp_path)]) == 2
 

@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import random
+import time
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from ddrt import trs
+from ddrt import Config, joinability, trs
 from ddrt.critical_pairs import critical_pairs
 from ddrt.errors import ResourceLimitError
 from ddrt.joinability import join_instances
+from ddrt.prover import Analysis
 from ddrt.rewriting import one_step_reducts
-from conftest import system, term
-from helpers import embedding_leq, replay_join
+from ddrt.terms import Fun, Var, variables
+from ddrt.tpdb import parse_trs
+from conftest import DATA_DIR, system, term
+from helpers import embedding_leq, make_random_term, replay_join
 
 
 class TestEmbedding:
@@ -219,3 +225,97 @@ def test_subsequence_filter_matches_quadratic_definition():
         assert keys == sorted(keys)
     assert candidates > 300
 
+
+def _described(instances):
+    """Join instances as plain data: sequences, meet and traces as strings."""
+    return [
+        (i.left_seq, i.right_seq, str(i.meet),
+         [(p, str(u)) for p, u in i.left_trace], [(p, str(u)) for p, u in i.right_trace])
+        for i in instances
+    ]
+
+
+def _joins_or_limit(R, s, t, k, budget, reducts=None):
+    try:
+        return _described(join_instances(R, s, t, k, budget, reducts))
+    except ResourceLimitError as e:
+        return str(e)
+
+
+def _assert_shared_memo_changes_nothing(R, k, budget=2_000):
+    """One memo shared by the searches of all critical pairs of R gives each
+    pair what a search of its own gives, budget overruns included."""
+    reducts: joinability.Reducts = {}
+    for cp in critical_pairs(R):
+        shared = _joins_or_limit(R, cp.left, cp.right, k, budget, reducts)
+        assert shared == _joins_or_limit(R, cp.left, cp.right, k, budget), (
+            f"{cp} under {list(map(str, R.rules))}"
+        )
+
+
+def _random_string_system(rng):
+    """A string system over unary a, b, c: 3 to 7 rules, words of length 1 or 2
+    on the left and 0 to 2 on the right."""
+
+    def word(n):
+        t = Var("x")
+        for _ in range(n):
+            t = Fun(rng.choice("abc"), (t,))
+        return t
+
+    return trs([(word(rng.randint(1, 2)), word(rng.randint(0, 2)))
+                for _ in range(rng.randint(3, 7))])
+
+
+def _random_term_system(rng):
+    """A system of 1 to 4 rules over f/2, g/1, a and b."""
+    sig = [("f", 2), ("g", 1), ("a", 0), ("b", 0)]
+    rules = []
+    n = rng.randint(1, 4)
+    while len(rules) < n:
+        lhs = make_random_term(rng, sig, ["x", "y"], rng.randint(1, 2))
+        if isinstance(lhs, Fun):
+            rhs = make_random_term(rng, sig, sorted(variables(lhs)), rng.randint(0, 2))
+            rules.append((lhs, rhs))
+    return trs(rules)
+
+
+def test_shared_reducts_change_no_join_on_data_files():
+    for path in sorted(DATA_DIR.glob("*.trs")):
+        _assert_shared_memo_changes_nothing(parse_trs(path.read_text()).trs, 4)
+
+
+@pytest.mark.parametrize("draw", [_random_string_system, _random_term_system])
+def test_shared_reducts_change_no_join_on_random_systems(draw):
+    rng = random.Random(1009)
+    for _ in range(200):
+        _assert_shared_memo_changes_nothing(draw(rng), 3)
+
+
+def test_analysis_expands_each_term_once(monkeypatch):
+    expanded = Counter()
+    step = joinability.one_step_reducts
+    monkeypatch.setattr(
+        joinability, "one_step_reducts", lambda R, t: expanded.update([t]) or step(R, t)
+    )
+    systems = [parse_trs(path.read_text()).trs for path in sorted(DATA_DIR.glob("*.trs"))]
+    for R in systems + [system(*STRING_SYSTEM)]:
+        expanded.clear()
+        try:
+            list(Analysis(R, Config(node_budget=2_000)).instances())
+        except ResourceLimitError:
+            pass
+        assert max(expanded.values(), default=1) == 1, list(map(str, R.rules))
+    assert expanded
+
+
+# 623 states from p(a,a,a,a) at k=4
+WIDE = ("h(x) -> p(a,a,a,a)", "h(x) -> p(b,b,b,b)", "a -> b", "b -> a", "a -> c", "c -> b")
+
+
+def test_join_search_stops_at_the_deadline():
+    R = system(*WIDE)
+    s, t = term("p(a,a,a,a)"), term("p(b,b,b,b)")
+    assert join_instances(R, s, t, 4, deadline=time.monotonic() + 60)
+    with pytest.raises(ResourceLimitError, match="joinability search passed the deadline"):
+        join_instances(R, s, t, 4, deadline=time.monotonic())

@@ -22,6 +22,7 @@ from ddrt.prover import (
     check_knuth_bendix,
     check_nonconfluence,
     check_orthogonal,
+    check_rule_labeling,
 )
 from conftest import data_path, system, term
 from helpers import check_normal_form, dd1_problem, replay_join, replay_relative
@@ -105,6 +106,19 @@ def test_dd_past_the_deadline_reports_timeout(stream_d, cfg):
         v = check(a)
         assert v.kind == "MAYBE" and v.details["reason"] == "timeout"
         assert v.details["relative"]["diagnostics"] == ["interpretation search passed the deadline"]
+
+
+def test_join_search_past_the_deadline_reports_timeout():
+    # a search of 623 states, over the 256 between two readings of the clock;
+    # in time, rl answers YES and dd1 and dd2 fail on relative termination
+    R = system("h(x) -> p(a,a,a,a)", "h(x) -> p(b,b,b,b)",
+               "a -> b", "b -> a", "a -> c", "c -> b")
+    assert check_rule_labeling(Analysis(R)).is_yes
+    for check in (check_rule_labeling, check_dd_l1, check_dd_l2):
+        a = Analysis(R)
+        a.deadline = time.monotonic()
+        v = check(a)
+        assert v.kind == "MAYBE" and v.details["reason"] == "timeout"
 
 
 class TestNonconfluence:
