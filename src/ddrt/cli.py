@@ -97,7 +97,7 @@ def _config_from(args: argparse.Namespace) -> Config:
 
 def _prove_file(path: str, cfg: Config) -> Verdict:
     text = Path(path).read_text(encoding="ascii")
-    return prove(parse_trs(text).trs, cfg)
+    return prove(parse_trs(text), cfg)
 
 
 def _run_single(files: list[str], cfg: Config, proof: bool) -> int:

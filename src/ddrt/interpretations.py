@@ -17,7 +17,7 @@ from itertools import product
 from typing import Optional
 
 from .errors import ResourceLimitError
-from .rewriting import TRS, Rule, fresh_trs
+from .rewriting import TRS, Rule, fresh_trs, pumps
 from .terms import Fun, Term, Var, iter_positions, match
 from .verdict import Verdict, maybe, yes
 
@@ -276,7 +276,6 @@ def search_interpretation(
         suffix_min[d] = suffix_min[d + 1] + cands[order[d]].weights[0]
 
     chosen: dict[str, int] = {}  # symbol -> candidate index
-    orientation: dict[int, str] = {}
     nodes = 0
     mask_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -419,17 +418,16 @@ def search_interpretation(
         nonlocal cap_cut
         if depth == len(order):
             funcs = {s: cands[s].function(chosen[s]) for s in sig}
-            strict_set = {i for i, o in orientation.items() if o == STRICT}
+            # every rule's masks are cached from the depth where it completes
+            strict_set = {i for i, d in enumerate(completes_at)
+                          if rule_masks(i, order[d])[1][chosen[order[d]]]}
             return MatrixInterpretation(dim, funcs), strict_set
         symbol = order[depth]
-        rules_here = rules_at_depth[depth]
         ok = None
-        stricts = {}
-        for i in rules_here:
+        for i in rules_at_depth[depth]:
             weak_mask, strict_mask = rule_masks(i, symbol)
             mask = strict_mask if i == target else weak_mask
             ok = mask if ok is None else ok & mask
-            stricts[i] = strict_mask
         if depth == last_depth - 1:
             for i in rules_at_depth[last_depth]:
                 if root_only[i] is None:
@@ -446,13 +444,9 @@ def search_interpretation(
                 break
             spend()
             chosen[symbol] = ci
-            for i in rules_here:
-                orientation[i] = STRICT if stricts[i][ci] else WEAK
             found = dfs(target, depth + 1, rem - w)
             if found is not None:
                 return found
-            for i in rules_here:
-                orientation.pop(i, None)
             del chosen[symbol]
         return None
 
@@ -464,8 +458,6 @@ def search_interpretation(
     for cap in caps:
         cap_cut = False
         for target in targets:
-            orientation.clear()
-            chosen.clear()
             found = dfs(target, 0, cap)
             if found is not None:
                 return found
@@ -478,11 +470,7 @@ def search_interpretation(
 def has_looping_rule(rules: list[Rule]) -> bool:
     """True if some rule rewrites its own lhs into a term containing an lhs
     instance, an immediate witness of nontermination."""
-    for r in rules:
-        for _, s in iter_positions(r.rhs):
-            if isinstance(s, Fun) and match(r.lhs, s) is not None:
-                return True
-    return False
+    return any(match(r.lhs, r.rhs) is not None or pumps(r) for r in rules)
 
 
 def external_termination_check(
@@ -641,17 +629,9 @@ def prove_termination(
     external_command: Optional[str] = None,
     deadline: Optional[float] = None,
 ) -> Verdict:
-    """Plain termination of R (relative termination against the empty system),
-    with the external prover as the last resort. Every search stops at
-    `deadline`."""
-    if has_looping_rule(list(R.rules)):
-        return maybe("termination", reason="looping rule")
+    """Plain termination of R: relative termination against the empty system,
+    with the external prover asked about the rules left after removal."""
     v = prove_relative_termination(
-        RelTermProblem(R, TRS(())), dim_max, coef_max, budget, deadline=deadline
+        RelTermProblem(R, TRS(())), dim_max, coef_max, budget, external_command, deadline
     )
-    if v.is_yes:
-        return yes("termination", chain=v.details["chain"])
-    if external_command is not None:
-        if external_termination_check(R, external_command, deadline) == "yes":
-            return yes("termination", chain=[], external=True)
-    return maybe("termination", reason=v.details.get("reason", "not shown"))
+    return Verdict(v.kind, "termination", v.details)

@@ -140,11 +140,11 @@ def check_rule_labeling(a: Analysis) -> Verdict:
         return maybe("rule-labeling", reason="not linear")
     try:
         instances = list(a.instances())
+        formula = rule_labeling.build_rl(a.pairs, instances)
+        levels = rule_labeling.solve_precedence(formula, len(a.R), a.deadline)
     except ResourceLimitError as e:
         why = "timeout" if a.timed_out() else "resource limit"
         return maybe("rule-labeling", reason=why, detail=str(e))
-    formula = rule_labeling.build_rl(a.pairs, instances)
-    levels = rule_labeling.solve_precedence(formula, len(a.R))
     if levels is None:
         return maybe("rule-labeling", reason=f"unsatisfiable at k={a.cfg.k}")
     joins = [{"inner": cp.origin.inner.index, "outer": cp.origin.outer.index,
@@ -162,10 +162,11 @@ def check_knuth_bendix(a: Analysis) -> Verdict:
     normalizations = []
     for cp in a.pairs:
         try:
-            nf_left, left_steps = normalize(R, cp.left, a.cfg.node_budget)
-            nf_right, right_steps = normalize(R, cp.right, a.cfg.node_budget)
+            nf_left, left_steps = normalize(R, cp.left, a.cfg.node_budget, a.deadline)
+            nf_right, right_steps = normalize(R, cp.right, a.cfg.node_budget, a.deadline)
         except ResourceLimitError as e:
-            return maybe("knuth-bendix", reason="resource limit", detail=str(e))
+            why = "timeout" if a.timed_out() else "resource limit"
+            return maybe("knuth-bendix", reason=why, detail=str(e))
         if nf_left != nf_right:
             # two distinct normal forms of the critical peak refute confluence
             return no(
@@ -233,9 +234,11 @@ def check_nonconfluence(a: Analysis) -> Verdict:
         if cp.trivial:
             continue
         try:
-            left_set = closed_reducts(R, cp.left, a.cfg.nc_budget)
-            right_set = closed_reducts(R, cp.right, a.cfg.nc_budget)
+            left_set = closed_reducts(R, cp.left, a.cfg.nc_budget, a.deadline)
+            right_set = closed_reducts(R, cp.right, a.cfg.nc_budget, a.deadline)
         except ResourceLimitError:
+            if a.timed_out():
+                return maybe("nonconfluence", reason="timeout")
             continue
         if left_set & right_set:
             continue
@@ -280,6 +283,8 @@ def prove(R: TRS, cfg: Config | None = None) -> Verdict:
             verdict = _CRITERIA[name](a)
         except ResourceLimitError as e:
             verdict = maybe(name, reason="resource limit", detail=str(e))
+        except MemoryError:
+            verdict = maybe(name, reason="out of memory")
         except RecursionError as e:
             # terms nested deeper than the interpreter's recursion limit
             verdict = maybe(name, reason="recursion limit", detail=str(e))

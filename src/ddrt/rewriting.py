@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -183,14 +184,14 @@ def one_step_reducts(R: TRS, t: Term) -> list[tuple[int, Position, Term]]:
 
 
 def closed_reducts(
-    R: TRS, t: Term, budget: int = DEFAULT_NODE_BUDGET
+    R: TRS, t: Term, budget: int = DEFAULT_NODE_BUDGET, deadline: float | None = None
 ) -> set[Term]:
     """The full set of terms reachable from t.
 
     Terms are visited breadth-first, each term's reducts by position and
     then rule index. Raises `ResourceLimitError` when the set does not close
-    within the budget, and at the first step by a pumping rule: that step
-    shows the set is infinite (see `pumps`).
+    within the budget or by `deadline`, and at the first step by a pumping
+    rule: that step shows the set is infinite (see `pumps`).
     """
     pumping = R.pumping
     seen: set[Term] = {t}
@@ -209,6 +210,9 @@ def closed_reducts(
                         raise ResourceLimitError(
                             f"reduct closure exceeded {budget} terms"
                         )
+                    if (deadline is not None and not len(seen) % 256
+                            and time.monotonic() > deadline):
+                        raise ResourceLimitError("reduct closure passed the deadline")
                     nxt.append(u)
         frontier = nxt
     return seen
@@ -225,9 +229,11 @@ def is_normal_form(R: TRS, t: Term) -> bool:
 
 
 def normalize(
-    R: TRS, t: Term, budget: int = DEFAULT_NODE_BUDGET
+    R: TRS, t: Term, budget: int = DEFAULT_NODE_BUDGET, deadline: float | None = None
 ) -> tuple[Term, list[tuple[int, Position, Term]]]:
-    """Reduce t to a normal form, outermost-leftmost, recording each step."""
+    """Reduce t to a normal form, outermost-leftmost, recording each step.
+    Raises `ResourceLimitError` past the budget or past `deadline`, a
+    time.monotonic() value (None sets no deadline)."""
     steps: list[tuple[int, Position, Term]] = []
     for _ in range(budget):
         reducts = one_step_reducts(R, t)
@@ -236,4 +242,6 @@ def normalize(
         step = reducts[0]
         steps.append(step)
         t = step[2]
+        if deadline is not None and not len(steps) % 256 and time.monotonic() > deadline:
+            raise ResourceLimitError("normalization passed the deadline")
     raise ResourceLimitError(f"normalization exceeded {budget} steps")

@@ -8,10 +8,12 @@ the two rule indices coincide or ``a > b`` holds.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .critical_pairs import CriticalPair
+from .errors import ResourceLimitError
 from .joinability import JoinInstance
 
 
@@ -20,23 +22,11 @@ class Formula:
 
 
 @dataclass(frozen=True, slots=True)
-class Top(Formula):
-    def __str__(self) -> str:
-        return "T"
-
-
-@dataclass(frozen=True, slots=True)
-class Bottom(Formula):
-    def __str__(self) -> str:
-        return "F"
-
-
-@dataclass(frozen=True, slots=True)
 class And(Formula):
     parts: tuple[Formula, ...]
 
     def __str__(self) -> str:
-        return "(" + " & ".join(map(str, self.parts)) + ")"
+        return "(" + " & ".join(map(str, self.parts)) + ")" if self.parts else "T"
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,7 +34,7 @@ class Or(Formula):
     parts: tuple[Formula, ...]
 
     def __str__(self) -> str:
-        return "(" + " | ".join(map(str, self.parts)) + ")"
+        return "(" + " | ".join(map(str, self.parts)) + ")" if self.parts else "F"
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,16 +55,15 @@ class Geq(Formula):
         return f"{self.a}>={self.b}"
 
 
-TOP = Top()
-BOTTOM = Bottom()
+# the truth constants: an empty conjunction holds, an empty disjunction does not
+TOP = And(())
+BOTTOM = Or(())
 
 
 def conj(parts: Iterable[Formula]) -> Formula:
     kept = [p for p in parts if p != TOP]
-    if any(p == BOTTOM for p in kept):
+    if BOTTOM in kept:
         return BOTTOM
-    if not kept:
-        return TOP
     if len(kept) == 1:
         return kept[0]
     return And(tuple(kept))
@@ -82,10 +71,8 @@ def conj(parts: Iterable[Formula]) -> Formula:
 
 def disj(parts: Iterable[Formula]) -> Formula:
     kept = [p for p in parts if p != BOTTOM]
-    if any(p == TOP for p in kept):
+    if TOP in kept:
         return TOP
-    if not kept:
-        return BOTTOM
     if len(kept) == 1:
         return kept[0]
     return Or(tuple(kept))
@@ -123,10 +110,6 @@ def evaluate(f: Formula, levels: LevelMap) -> Optional[bool]:
             if v is None:
                 value = None
         return value
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bottom):
-        return False
     raise TypeError(f)
 
 
@@ -183,7 +166,9 @@ def build_rl(pairs: list[CriticalPair], instances: list[list[JoinInstance]]) -> 
     )
 
 
-def solve_precedence(f: Formula, n_rules: int) -> Optional[LevelMap]:
+def solve_precedence(
+    f: Formula, n_rules: int, deadline: Optional[float] = None
+) -> Optional[LevelMap]:
     """A level map over all rule indices satisfying f, or None if unsatisfiable.
 
     Depth-first search gives the involved indices, in increasing order, the
@@ -193,14 +178,20 @@ def solve_precedence(f: Formula, n_rules: int) -> Optional[LevelMap]:
     map smaller, so a partial map whose gaps outnumber the indices still
     without a level is dropped too. Only branches without that map are
     dropped, so the map found is the lexicographically least one. Indices
-    not in f get level 0.
+    not in f get level 0. Raises ResourceLimitError past `deadline`, a
+    time.monotonic() value (None sets no deadline).
     """
     involved = sorted(atom_indices(f))
     m = len(involved)
     levels: LevelMap = {}
     uses = [0] * m  # how many indices in the partial map sit at each level
+    nodes = 0
 
     def extend(i: int, top: int, distinct: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if deadline is not None and not nodes % 256 and time.monotonic() > deadline:
+            raise ResourceLimitError("precedence search passed the deadline")
         value = evaluate(f, levels)
         if value is False:
             return False

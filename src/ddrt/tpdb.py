@@ -8,7 +8,6 @@ use. ``(COMMENT ...)`` and other unrecognized sections are skipped.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .rewriting import TRS, trs
 from .terms import Fun, Term, Var, variables
@@ -20,11 +19,6 @@ class ParseError(Exception):
     def __init__(self, message: str, position: int = -1):
         super().__init__(f"{message}" + (f" (at token {position})" if position >= 0 else ""))
         self.position = position
-
-
-@dataclass
-class ParsedProblem:
-    trs: TRS
 
 
 class _Parser:
@@ -77,7 +71,7 @@ class _Parser:
         return Fun(name)
 
 
-def parse_trs(text: str) -> ParsedProblem:
+def parse_trs(text: str) -> TRS:
     try:
         return _parse(text)
     except RecursionError as e:
@@ -85,7 +79,7 @@ def parse_trs(text: str) -> ParsedProblem:
         raise ParseError("term nested too deeply") from e
 
 
-def _parse(text: str) -> ParsedProblem:
+def _parse(text: str) -> TRS:
     parser = _Parser(text)
     declared: set[str] = set()
     pairs: list[tuple[Term, Term]] = []
@@ -110,7 +104,7 @@ def _parse(text: str) -> ParsedProblem:
     if not saw_rules:
         raise ParseError("no (RULES ...) section")
     try:
-        return ParsedProblem(trs(pairs))
+        return trs(pairs)
     except ValueError as e:
         raise ParseError(str(e)) from e
 

@@ -24,7 +24,7 @@ from ddrt.rewriting import (
     rename_apart,
     split_duplicating,
 )
-from ddrt.rule_labeling import And, Bottom, Formula, Geq, Gt, Or, Top, build_rl
+from ddrt.rule_labeling import And, Formula, Geq, Gt, Or, build_rl
 from ddrt.terms import (
     Fun,
     Position,
@@ -41,10 +41,6 @@ from ddrt.terms import (
 
 def eval_formula(f: Formula, levels: dict[int, int]) -> bool:
     """Evaluate a precedence formula directly; Geq is the reflexive closure."""
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bottom):
-        return False
     if isinstance(f, And):
         return all(eval_formula(p, levels) for p in f.parts)
     if isinstance(f, Or):
@@ -62,6 +58,14 @@ def _indices(f: Formula) -> set[int]:
     if isinstance(f, (And, Or)):
         return set().union(*map(_indices, f.parts))
     return set()
+
+
+def contradictory_chain(m: int) -> Formula:
+    """(0>1|1>0) & (1>2|2>1) & ... & (m-2>m-1) & (m-1>m-2) over the indices
+    0 to m-1: unsatisfiable, and the precedence search on it grows
+    exponentially in m."""
+    choices = [Or((Gt(i, i + 1), Gt(i + 1, i))) for i in range(m - 2)]
+    return And((*choices, Gt(m - 2, m - 1), Gt(m - 1, m - 2)))
 
 
 def solve_by_enumeration(f: Formula, n_rules: int) -> dict[int, int] | None:
@@ -96,10 +100,6 @@ def strict_orders(indices: tuple[int, ...]):
 
 def eval_formula_order(f: Formula, order: set[tuple[int, int]]) -> bool:
     """Evaluate a precedence formula against an explicit strict order."""
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bottom):
-        return False
     if isinstance(f, And):
         return all(eval_formula_order(p, order) for p in f.parts)
     if isinstance(f, Or):

@@ -38,20 +38,20 @@ def _cli_under_hash_seeds(argv: list[str]) -> list[str]:
 
 class TestParseTrs:
     def test_minimal(self):
-        problem = parse_trs("(VAR x y)(RULES hd(:(x,y)) -> x)")
-        assert len(problem.trs) == 1
-        assert problem.trs.signature == {"hd": 1, ":": 2}
-        assert problem.trs.rules[0].lhs == term("hd(:(x,y))")
+        R = parse_trs("(VAR x y)(RULES hd(:(x,y)) -> x)")
+        assert len(R) == 1
+        assert R.signature == {"hd": 1, ":": 2}
+        assert R.rules[0].lhs == term("hd(:(x,y))")
 
     def test_stream_file_indices(self, stream):
         text = (DATA_DIR / "stream.trs").read_text()
-        problem = parse_trs(text)
-        assert [r.index for r in problem.trs.rules] == [0, 1, 2, 3, 4]
-        assert [str(r) for r in problem.trs.rules] == [str(r) for r in stream.rules]
+        R = parse_trs(text)
+        assert [r.index for r in R.rules] == [0, 1, 2, 3, 4]
+        assert [str(r) for r in R.rules] == [str(r) for r in stream.rules]
 
     def test_comment_section_ignored(self):
-        problem = parse_trs("(COMMENT a tiny system)(RULES a -> b)")
-        assert len(problem.trs) == 1
+        R = parse_trs("(COMMENT a tiny system)(RULES a -> b)")
+        assert len(R) == 1
 
     def test_variable_lhs_rejected(self):
         with pytest.raises(ParseError):
@@ -77,13 +77,13 @@ class TestParseTrs:
 class TestFormatTrs:
     def test_round_trip(self, stream, stream_d, toggle, nonleftlinear):
         for R in (stream, stream_d, toggle, nonleftlinear):
-            reparsed = parse_trs(format_trs(R)).trs
+            reparsed = parse_trs(format_trs(R))
             assert [str(r) for r in reparsed.rules] == [str(r) for r in R.rules]
 
     def test_round_trip_all_data_files(self):
         for path in sorted(DATA_DIR.glob("*.trs")):
-            R = parse_trs(path.read_text()).trs
-            assert [str(r) for r in parse_trs(format_trs(R)).trs.rules] == [
+            R = parse_trs(path.read_text())
+            assert [str(r) for r in parse_trs(format_trs(R)).rules] == [
                 str(r) for r in R.rules
             ]
 
@@ -300,6 +300,20 @@ class TestRunBatch:
         errors = captured.err.splitlines()
         assert [line.split(": ")[1] for line in errors] == broken
         assert errors[1] == f"error: {broken[1]}: expected ')', got '->' (at token 5)"
+
+    def test_timeout_is_per_file(self, tmp_path, capsys):
+        # every worker spends the whole second on a slow file first, so a
+        # timeout shared by the batch would pass before the quick file starts
+        workers = os.cpu_count() or 1
+        for i in range(workers):
+            (tmp_path / f"slow{i}.trs").write_text("(RULES c -> b b -> f(g(c),g(a)))")
+        (tmp_path / "z-quick.trs").write_text("(RULES a -> b)")
+        assert run(["--criterion", "kb", "--timeout", "1", "--batch", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        verdicts = dict(line.split("\t") for line in lines[:-1])
+        assert list(verdicts) == sorted(verdicts) and len(verdicts) == workers + 1
+        assert verdicts.pop(str(tmp_path / "z-quick.trs")) == "YES"
+        assert set(verdicts.values()) == {"MAYBE"}
 
     def test_empty_directory(self, tmp_path, capsys):
         assert run(["--batch", str(tmp_path)]) == 2

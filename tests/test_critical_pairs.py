@@ -76,7 +76,7 @@ class TestOverlapIndex:
 
     def test_data_files_match_scan(self):
         for path in sorted(DATA_DIR.glob("*.trs")):
-            R = parse_trs(path.read_text()).trs
+            R = parse_trs(path.read_text())
             assert _described(overlaps(R)) == _described(overlaps_by_scan(R)), path.name
 
     def test_random_systems_match_scan(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import stat
 import tempfile
 import time
@@ -27,9 +28,11 @@ from ddrt.interpretations import (
     prove_termination,
     search_interpretation,
 )
-from ddrt.terms import apply_subst, replace_at
-from conftest import system, term
-from helpers import candidates_by_filter, replay_relative
+from ddrt.rewriting import Rule
+from ddrt.terms import Fun, apply_subst, iter_positions, match, replace_at, variables
+from ddrt.tpdb import parse_trs
+from conftest import DATA_DIR, system, term
+from helpers import candidates_by_filter, make_random_term, replay_relative
 
 
 class TestInterpretTerm:
@@ -249,6 +252,37 @@ class TestHasLoopingRule:
         assert not has_looping_rule(list(diamond.rules))
 
 
+def _loops_by_scan(r: Rule) -> bool:
+    """The rhs holds an instance of the lhs at some position, the root included."""
+    return any(isinstance(s, Fun) and match(r.lhs, s) is not None
+               for _, s in iter_positions(r.rhs))
+
+
+def _random_rule(rng: random.Random) -> Rule:
+    """A rule over f/2, g/1 and a whose rhs, half of the time, has an
+    instance of the lhs plugged in at a random position."""
+    sig = [("f", 2), ("g", 1), ("a", 0)]
+    lhs = make_random_term(rng, sig, ["x", "y"], 2)
+    while not isinstance(lhs, Fun):
+        lhs = make_random_term(rng, sig, ["x", "y"], 2)
+    xs = sorted(variables(lhs))
+    rhs = make_random_term(rng, sig, xs, 2)
+    if rng.random() < 0.5:
+        sigma = {x: make_random_term(rng, sig, xs, 1) for x in xs}
+        pos = rng.choice([p for p, _ in iter_positions(rhs)])
+        rhs = replace_at(rhs, pos, apply_subst(sigma, lhs))
+    return Rule(0, lhs, rhs)
+
+
+def test_looping_rule_agrees_with_the_position_scan():
+    rules = [r for path in sorted(DATA_DIR.glob("*.trs")) for r in parse_trs(path.read_text())]
+    rng = random.Random(12)
+    rules += [_random_rule(rng) for _ in range(300)]
+    looping = [has_looping_rule([r]) for r in rules]
+    assert looping == [_loops_by_scan(r) for r in rules]
+    assert 50 < sum(looping) < len(rules) - 50
+
+
 class TestProveRelativeTermination:
     def test_empty_strict_is_immediate(self, stream):
         v = prove_relative_termination(RelTermProblem(TRS(()), stream))
@@ -289,6 +323,17 @@ class TestProveTermination:
     def test_growing_rule(self, nested_g):
         assert prove_termination(nested_g).kind == "MAYBE"
 
+    def test_is_relative_termination_against_the_empty_system(self):
+        kinds = set()
+        for path in sorted(DATA_DIR.glob("*.trs")):
+            R = parse_trs(path.read_text())
+            v = prove_termination(R)
+            w = prove_relative_termination(RelTermProblem(R, TRS(())))
+            assert (v.criterion, w.criterion) == ("termination", "relative-termination")
+            assert (v.kind, v.details) == (w.kind, w.details), path.name
+            kinds.add(v.kind)
+        assert kinds == {"YES", "MAYBE"}
+
 
 class TestExternalProver:
     def test_empty_system_needs_no_tool(self):
@@ -317,6 +362,16 @@ class TestExternalProver:
         assert external_termination_check(diamond, sleeps, start + 0.5) == "unknown"
         assert time.monotonic() - start < 5
         assert list(scratch.iterdir()) == []
+
+    def test_asked_about_the_rules_left_after_removal(self, tmp_path):
+        # a round removes c -> a; nothing orients the other two rules strictly
+        seen = tmp_path / "seen.trs"
+        tool = self._tool(tmp_path / "saves.sh", f"cp \"$1\" '{seen}'\necho YES")
+        v = prove_termination(system("c -> a", "f(a) -> f(b)", "f(b) -> f(a)"),
+                              external_command=tool)
+        assert v.is_yes and v.details["union_termination"] == "external"
+        assert [str(r) for r in v.details["chain"][0]["removed"]] == ["c -> a"]
+        assert [str(r) for r in parse_trs(seen.read_text())] == ["f(a) -> f(b)", "f(b) -> f(a)"]
 
     def test_not_started_after_the_deadline(self, diamond, tmp_path):
         mark = tmp_path / "called"

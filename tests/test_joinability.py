@@ -282,7 +282,7 @@ def _random_term_system(rng):
 
 def test_shared_reducts_change_no_join_on_data_files():
     for path in sorted(DATA_DIR.glob("*.trs")):
-        _assert_shared_memo_changes_nothing(parse_trs(path.read_text()).trs, 4)
+        _assert_shared_memo_changes_nothing(parse_trs(path.read_text()), 4)
 
 
 @pytest.mark.parametrize("draw", [_random_string_system, _random_term_system])
@@ -298,7 +298,7 @@ def test_analysis_expands_each_term_once(monkeypatch):
     monkeypatch.setattr(
         joinability, "one_step_reducts", lambda R, t: expanded.update([t]) or step(R, t)
     )
-    systems = [parse_trs(path.read_text()).trs for path in sorted(DATA_DIR.glob("*.trs"))]
+    systems = [parse_trs(path.read_text()) for path in sorted(DATA_DIR.glob("*.trs"))]
     for R in systems + [system(*STRING_SYSTEM)]:
         expanded.clear()
         try:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ddrt import Config, prove
+from ddrt import Config, prove, prover, rule_labeling
 from ddrt.critical_pairs import cps, critical_pairs
 from ddrt.interpretations import RelTermProblem
 from ddrt.prover import (
@@ -25,7 +25,13 @@ from ddrt.prover import (
     check_rule_labeling,
 )
 from conftest import data_path, system, term
-from helpers import check_normal_form, dd1_problem, replay_join, replay_relative
+from helpers import (
+    check_normal_form,
+    contradictory_chain,
+    dd1_problem,
+    replay_join,
+    replay_relative,
+)
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +127,27 @@ def test_join_search_past_the_deadline_reports_timeout():
         assert v.kind == "MAYBE" and v.details["reason"] == "timeout"
 
 
+def test_precedence_search_past_the_deadline_reports_timeout(monkeypatch):
+    # the constraint would take about 80 s to refute
+    monkeypatch.setattr(rule_labeling, "build_rl", lambda pairs, instances: contradictory_chain(9))
+    start = time.monotonic()
+    v = check_rule_labeling(Analysis(system("a -> b"), Config(timeout=0.5)))
+    assert time.monotonic() - start < 2
+    assert v.kind == "MAYBE" and v.details["reason"] == "timeout"
+    assert v.details["detail"] == "precedence search passed the deadline"
+
+
+def test_normalization_past_the_deadline_reports_timeout():
+    # the peak f(p) normalizes in 301 steps, over the 256 between two readings of the clock
+    R = system("p -> " + "s(" * 300 + "0" + ")" * 300, "f(s(x)) -> f(x)", "f(p) -> f(0)")
+    assert check_knuth_bendix(Analysis(R)).is_yes
+    a = Analysis(R)
+    a.deadline = time.monotonic()
+    v = check_knuth_bendix(a)
+    assert v.kind == "MAYBE" and v.details["reason"] == "timeout"
+    assert v.details["detail"] == "normalization passed the deadline"
+
+
 class TestNonconfluence:
     def test_fork_no(self, fork, cfg):
         v = check_nonconfluence(Analysis(fork, cfg))
@@ -151,6 +178,18 @@ class TestNonconfluence:
         assert v.details["per_criterion"]["nc"]["reason"] == (
             "no critical pair with disjoint closed reducts"
         )
+
+
+    def test_stops_at_the_deadline(self):
+        # the closure of q1 holds 302 terms, over the 256 between two readings
+        # of the clock; the pair of r, next in line, refutes confluence at once
+        R = system("p -> q1", "p -> q2", "q1 -> f(" + "s(" * 300 + "0" + ")" * 301,
+                   "f(s(x)) -> f(x)", "r -> a", "r -> b")
+        assert check_nonconfluence(Analysis(R)).is_no
+        a = Analysis(R)
+        a.deadline = time.monotonic()
+        v = check_nonconfluence(a)
+        assert v.kind == "MAYBE" and v.details["reason"] == "timeout"
 
 
 class TestProve:
@@ -221,6 +260,16 @@ class TestProve:
         v = prove(R, Config(criteria=("nc",)))
         assert v.kind == "MAYBE"
         assert v.details["per_criterion"]["nc"]["reason"] == "recursion limit"
+
+    def test_memory_error_becomes_maybe(self, toggle, monkeypatch):
+        def exhausted(a):
+            raise MemoryError
+
+        monkeypatch.setattr(prover, "check_nonconfluence", exhausted)
+        v = prove(toggle, Config(criteria=("nc", "ortho")))
+        assert v.kind == "MAYBE"
+        assert v.details["per_criterion"]["nc"] == {"reason": "out of memory"}
+        assert v.details["per_criterion"]["ortho"]["reason"] == "has overlaps"
 
     def test_pumping_system_answers_yes_within_five_seconds(self):
         # f(x) -> f(f(a)) pumps; without the cut, nc runs for about a minute

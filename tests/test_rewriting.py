@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -228,7 +229,7 @@ class TestPumpingCutIsSound:
     def test_fixtures(self):
         closed = overrun = 0
         for path in sorted(DATA_DIR.glob("*.trs")):
-            R = parse_trs(path.read_text()).trs
+            R = parse_trs(path.read_text())
             for cp in critical_pairs(R):
                 if not cp.trivial:
                     for t in (cp.left, cp.right):
@@ -264,8 +265,8 @@ import ddrt.rewriting as rw
 from ddrt.errors import ResourceLimitError
 from ddrt.tpdb import parse_trs
 
-R = parse_trs("(VAR x)(RULES f(x) -> f(s(x)) g(x) -> g(s(x)) k(x) -> k(s(x)))").trs
-start = parse_trs("(RULES h(f(a),g(a),k(a)) -> a)").trs.rules[0].lhs
+R = parse_trs("(VAR x)(RULES f(x) -> f(s(x)) g(x) -> g(s(x)) k(x) -> k(s(x)))")
+start = parse_trs("(RULES h(f(a),g(a),k(a)) -> a)").rules[0].lhs
 visited = []
 step = rw.one_step_reducts
 rw.one_step_reducts = lambda R, t: visited.append(str(t)) or step(R, t)
@@ -291,6 +292,11 @@ def test_closure_order_does_not_depend_on_the_hash_seed():
     assert outputs[0] == outputs[1]
 
 
+# 300 steps from f(s^300(0)) to f(0), over the 256 between two readings of the clock
+COUNTDOWN = system("f(s(x)) -> f(x)")
+COUNTDOWN_START = term("f(" + "s(" * 300 + "0" + ")" * 301)
+
+
 class TestNormalize:
     def test_diamond(self, diamond):
         nf, steps = normalize(diamond, term("a"))
@@ -298,9 +304,25 @@ class TestNormalize:
         assert len(steps) == 2
         assert is_normal_form(diamond, nf)
 
+    def test_stops_at_the_deadline(self):
+        nf, steps = normalize(COUNTDOWN, COUNTDOWN_START, deadline=time.monotonic() + 60)
+        assert nf == term("f(0)") and len(steps) == 300
+        start = time.monotonic()
+        with pytest.raises(ResourceLimitError, match="normalization passed the deadline"):
+            normalize(COUNTDOWN, COUNTDOWN_START, deadline=start)
+        assert time.monotonic() - start < 2
+
     def test_normal_form_check(self, stream):
         assert is_normal_form(stream, term("s(0)"))
         assert not is_normal_form(stream, term("hd(:(0,x))"))
+
+
+def test_closure_stops_at_the_deadline():
+    assert len(closed_reducts(COUNTDOWN, COUNTDOWN_START, deadline=time.monotonic() + 60)) == 301
+    start = time.monotonic()
+    with pytest.raises(ResourceLimitError, match="reduct closure passed the deadline"):
+        closed_reducts(COUNTDOWN, COUNTDOWN_START, deadline=start)
+    assert time.monotonic() - start < 2
 
 
 class TestMultistep:

@@ -5,6 +5,9 @@ from __future__ import annotations
 import random
 import time
 
+import pytest
+
+from ddrt.errors import ResourceLimitError
 from ddrt.rule_labeling import (
     BOTTOM,
     TOP,
@@ -23,6 +26,7 @@ from ddrt.prover import Analysis, Config, check_rule_labeling
 from ddrt.tpdb import parse_trs
 from conftest import DATA_DIR, system
 from helpers import (
+    contradictory_chain,
     eval_formula,
     eval_formula_order,
     rl_constraint,
@@ -88,6 +92,26 @@ class TestSolvePrecedence:
     def test_top_gives_zero_map(self):
         assert solve_precedence(TOP, 3) == {0: 0, 1: 0, 2: 0}
 
+    def test_truth_constants_are_the_empty_junctions(self):
+        assert TOP == And(()) and BOTTOM == Or(())
+        assert str(TOP) == "T" and str(BOTTOM) == "F"
+        assert evaluate(TOP, {}) is True and evaluate(BOTTOM, {}) is False
+        assert solve_precedence(BOTTOM, 2) is None
+
+    def test_search_stops_at_the_deadline(self):
+        # unsatisfiable, and about 80 s to refute without a deadline
+        start = time.monotonic()
+        with pytest.raises(ResourceLimitError, match="precedence search passed the deadline"):
+            solve_precedence(contradictory_chain(9), 9, start + 0.5)
+        assert time.monotonic() - start < 2
+
+    def test_deadline_changes_no_answer(self, stream):
+        formula, _ = rl_constraint(stream, 4)
+        assert solve_precedence(formula, len(stream), time.monotonic() + 60) == (
+            solve_precedence(formula, len(stream))
+        )
+        assert solve_precedence(contradictory_chain(5), 5, time.monotonic() + 60) is None
+
     def test_solution_is_total_on_rule_indices(self, stream):
         formula, _ = rl_constraint(stream, 4)
         levels = solve_precedence(formula, 5)
@@ -143,7 +167,7 @@ def test_solver_returns_the_enumeration_oracles_map():
 def test_solver_returns_the_oracles_map_on_linear_fixtures():
     checked = 0
     for path in sorted(DATA_DIR.glob("*.trs")):
-        R = parse_trs(path.read_text()).trs
+        R = parse_trs(path.read_text())
         if not R.is_linear():
             continue
         for k in (2, 4):
