@@ -107,15 +107,18 @@ def _run_single(files: list[str], cfg: Config, proof: bool) -> int:
         return 2
     try:
         verdict = _prove_file(files[0], cfg)
+        # the trace is built before the verdict is printed: an error leaves no output
+        out = f"{verdict.kind}\n{_trace(verdict)}" if proof else verdict.kind
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (ParseError, UnicodeError) as e:
         print(f"error: {files[0]}: {e}", file=sys.stderr)
         return 2
-    print(verdict.kind)
-    if proof:
-        print(_trace(verdict))
+    except MemoryError:
+        print(f"error: {files[0]}: out of memory", file=sys.stderr)
+        return 2
+    print(out)
     return 0
 
 
@@ -126,6 +129,8 @@ def _batch_worker(item: tuple[str, Config]) -> tuple[str, str, str]:
         return path, _prove_file(path, cfg).kind, ""
     except (ParseError, UnicodeError, OSError) as e:
         return path, "ERROR", str(e)
+    except MemoryError:
+        return path, "ERROR", "out of memory"
 
 
 def _run_batch(directory: str, cfg: Config) -> int:
@@ -163,16 +168,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--criterion", choices=CRITERION_CHOICES, default="auto",
         help="restrict to one criterion (default: run all)",
     )
-    parser.add_argument("--k", type=int, default=4, help="join bound (default 4)")
-    parser.add_argument(
-        "--timeout", type=float, default=60.0, help="global timeout in seconds"
-    )
-    parser.add_argument(
-        "--dim-max", type=int, default=3, help="maximum interpretation dimension"
-    )
-    parser.add_argument(
-        "--coef-max", type=int, default=1, help="maximum matrix coefficient"
-    )
+    parser.add_argument("--k", type=int, default=Config.k,
+                        help="join bound (default %(default)s)")
+    parser.add_argument("--timeout", type=float, default=Config.timeout,
+                        help="global timeout in seconds (default %(default)s)")
+    parser.add_argument("--dim-max", type=int, default=Config.dim_max,
+                        help="maximum interpretation dimension (default %(default)s)")
+    parser.add_argument("--coef-max", type=int, default=Config.coef_max,
+                        help="maximum matrix coefficient (default %(default)s)")
     parser.add_argument(
         "--external-prover", default=None, metavar="CMD",
         help="external termination prover command (env DDRT_EXTERNAL_PROVER)",

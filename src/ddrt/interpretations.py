@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Optional
 
-from .errors import ResourceLimitError
+from .errors import Meter, ResourceLimitError, Timeout
 from .rewriting import TRS, Rule, fresh_trs, pumps
 from .terms import Fun, Term, Var, iter_positions, match
 from .verdict import Verdict, maybe, yes
@@ -242,8 +242,7 @@ def search_interpretation(
     strictly oriented rules, or None when the bounded space holds no such
     interpretation; rule indices are not used because the two sides of a
     relative problem (e.g. CPS(R) versus R) number their rules independently.
-    Raises ResourceLimitError when the node budget runs out or the search
-    passes `deadline`, a time.monotonic() value (None sets no deadline).
+    Each node spends one unit of a `Meter` of `budget` nodes.
 
     Rule orientations are checked for all candidates of a symbol at once with
     numpy (batch axis = candidate index). A weight_extra of w limits each
@@ -276,17 +275,8 @@ def search_interpretation(
         suffix_min[d] = suffix_min[d + 1] + cands[order[d]].weights[0]
 
     chosen: dict[str, int] = {}  # symbol -> candidate index
-    nodes = 0
+    spend = Meter("interpretation search", "nodes", budget, deadline).spend
     mask_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-    def spend() -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise ResourceLimitError(f"interpretation search exceeded {budget} nodes")
-        # reading the clock at every node would slow the small searches
-        if deadline is not None and not nodes % 256 and time.monotonic() > deadline:
-            raise ResourceLimitError("interpretation search passed the deadline")
 
     def batch_forms(t: Term, batched: str) -> tuple[dict[str, np.ndarray], np.ndarray]:
         """Linear form of t where the batched symbol ranges over all its
@@ -529,9 +519,9 @@ def prove_relative_termination(
     strictly orienting part of the strict side; strictly oriented rules are
     removed from BOTH sides. An empty strict side concludes the proof. When
     removal stalls, plain termination of the union is attempted instead,
-    last by the external prover. Every search stops at `deadline`: a search
-    that raises past it ends the method with the reason "timeout". The
-    method is sound for YES only; failure yields MAYBE, never NO.
+    last by the external prover. A search that passes `deadline` ends the
+    method with the reason "timeout". The method is sound for YES only;
+    failure yields MAYBE, never NO.
     """
     strict = list(P.strict.rules)
     weak = list(P.weak.rules)
@@ -570,7 +560,7 @@ def prove_relative_termination(
                 )
             except ResourceLimitError as e:
                 diagnostics.append(str(e))
-                if deadline is not None and time.monotonic() > deadline:
+                if isinstance(e, Timeout):
                     return timeout()
             if found is not None:
                 break

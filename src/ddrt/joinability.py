@@ -9,12 +9,11 @@ kept in the traces only.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
-from .errors import ResourceLimitError
+from .errors import Meter
 from .rewriting import DEFAULT_NODE_BUDGET, TRS, one_step_reducts
 from .terms import Position, Term
 
@@ -45,12 +44,13 @@ def _label_reachable(
 
     A term's reducts are looked up in `reducts` and computed only on a miss,
     so a term reached by many label sequences, or by many searches sharing
-    the dict, is expanded once. Raises `ResourceLimitError` past the budget
-    or past `deadline`, a time.monotonic() value (None sets no deadline).
+    the dict, is expanded once. Each state, the root included, spends one
+    unit of a `Meter` of `budget` states.
     """
     reached: dict[Term, dict[tuple[int, ...], Trace]] = {t: {(): ()}}
     frontier: list[tuple[Term, tuple[int, ...], Trace]] = [(t, (), ())]
-    states = 1
+    spend = Meter("joinability search", "states", budget, deadline).spend
+    spend()
     for _ in range(k):
         nxt: list[tuple[Term, tuple[int, ...], Trace]] = []
         for s, seq, trace in frontier:
@@ -63,14 +63,7 @@ def _label_reachable(
                 if useq in per_term:
                     continue
                 per_term[useq] = utrace = trace + ((pos, u),)
-                states += 1
-                if states > budget:
-                    raise ResourceLimitError(
-                        f"joinability search exceeded {budget} states"
-                    )
-                # reading the clock at every state would slow the small searches
-                if deadline is not None and not states % 256 and time.monotonic() > deadline:
-                    raise ResourceLimitError("joinability search passed the deadline")
+                spend()
                 nxt.append((u, useq, utrace))
         frontier = nxt
     return reached
@@ -136,7 +129,7 @@ def join_instances(
 
     `reducts` memoizes one-step reducts of R; pass the same dict to every
     search over R to expand each term once. Without it, the two sides share
-    a fresh one. The search stops at `deadline` (see `_label_reachable`)."""
+    a fresh one."""
     if reducts is None:
         reducts = {}
     candidates = _join_candidates(R, s, t, k, budget, reducts, deadline)

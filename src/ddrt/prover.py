@@ -15,10 +15,12 @@ from typing import Callable, Iterator
 
 from . import joinability, rule_labeling
 from .critical_pairs import CriticalPair, cps, critical_pairs
-from .errors import ResourceLimitError
-from .interpretations import RelTermProblem, prove_relative_termination, prove_termination
+from .errors import ResourceLimitError, Timeout
+from .interpretations import (DEFAULT_SEARCH_BUDGET, RelTermProblem,
+                              prove_relative_termination, prove_termination)
 from .joinability import JoinInstance
 from .rewriting import (
+    DEFAULT_NODE_BUDGET,
     TRS,
     closed_reducts,
     fresh_trs,
@@ -36,8 +38,8 @@ class Config:
     k: int = 4
     dim_max: int = 3
     coef_max: int = 1
-    node_budget: int = 100_000
-    search_budget: int = 400_000
+    node_budget: int = DEFAULT_NODE_BUDGET
+    search_budget: int = DEFAULT_SEARCH_BUDGET
     nc_budget: int = 2_000
     instance_cap: int = 64
     external_prover: str | None = None
@@ -69,9 +71,6 @@ class Analysis:
         self._instances: list[list[JoinInstance]] = []
         self._reducts: joinability.Reducts = {}
 
-    def timed_out(self) -> bool:
-        return time.monotonic() > self.deadline
-
     @cached_property
     def pairs(self) -> list[CriticalPair]:
         return critical_pairs(self.R)
@@ -80,8 +79,7 @@ class Analysis:
         """The minimal join instances within k steps of each critical pair,
         at most instance_cap of them, in pair order. Each pair is searched
         on first use, and every search shares one memo of one-step reducts;
-        a search over the node budget or past the deadline raises and is not
-        kept."""
+        a search that raises is not kept."""
         cfg = self.cfg
         for i, cp in enumerate(self.pairs):
             if i == len(self._instances):
@@ -101,9 +99,9 @@ class Analysis:
                 if not instances:
                     return f"critical pair not shown joinable within {k} steps"
                 joins.append({"pair": cp, "instance": instances[0]})
+        except Timeout:
+            return "timeout"
         except ResourceLimitError:
-            if self.timed_out():
-                return "timeout"
             return f"joinability search hit the node budget at k={k}"
         return joins
 
@@ -143,7 +141,7 @@ def check_rule_labeling(a: Analysis) -> Verdict:
         formula = rule_labeling.build_rl(a.pairs, instances)
         levels = rule_labeling.solve_precedence(formula, len(a.R), a.deadline)
     except ResourceLimitError as e:
-        why = "timeout" if a.timed_out() else "resource limit"
+        why = "timeout" if isinstance(e, Timeout) else "resource limit"
         return maybe("rule-labeling", reason=why, detail=str(e))
     if levels is None:
         return maybe("rule-labeling", reason=f"unsatisfiable at k={a.cfg.k}")
@@ -157,15 +155,15 @@ def check_knuth_bendix(a: Analysis) -> Verdict:
     R = a.R
     termination = a.terminates(R)
     if not termination.is_yes:
-        timed_out = termination.details["reason"] == "timeout"
-        return maybe("knuth-bendix", reason="timeout" if timed_out else "termination not shown")
+        why = termination.details["reason"]
+        return maybe("knuth-bendix", reason=why if why == "timeout" else "termination not shown")
     normalizations = []
     for cp in a.pairs:
         try:
             nf_left, left_steps = normalize(R, cp.left, a.cfg.node_budget, a.deadline)
             nf_right, right_steps = normalize(R, cp.right, a.cfg.node_budget, a.deadline)
         except ResourceLimitError as e:
-            why = "timeout" if a.timed_out() else "resource limit"
+            why = "timeout" if isinstance(e, Timeout) else "resource limit"
             return maybe("knuth-bendix", reason=why, detail=str(e))
         if nf_left != nf_right:
             # two distinct normal forms of the critical peak refute confluence
@@ -236,9 +234,9 @@ def check_nonconfluence(a: Analysis) -> Verdict:
         try:
             left_set = closed_reducts(R, cp.left, a.cfg.nc_budget, a.deadline)
             right_set = closed_reducts(R, cp.right, a.cfg.nc_budget, a.deadline)
+        except Timeout:
+            return maybe("nonconfluence", reason="timeout")
         except ResourceLimitError:
-            if a.timed_out():
-                return maybe("nonconfluence", reason="timeout")
             continue
         if left_set & right_set:
             continue
@@ -276,7 +274,7 @@ def prove(R: TRS, cfg: Config | None = None) -> Verdict:
     a = Analysis(R, cfg)
     reasons: dict[str, dict] = {}
     for name in a.cfg.criteria:
-        if a.timed_out():
+        if time.monotonic() > a.deadline:
             reasons["timeout"] = {"reason": f"global timeout of {a.cfg.timeout}s reached"}
             break
         try:

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ResourceLimitError
+from .errors import Meter, ResourceLimitError
 from .terms import (
     Fun,
     Position,
@@ -189,11 +188,13 @@ def closed_reducts(
     """The full set of terms reachable from t.
 
     Terms are visited breadth-first, each term's reducts by position and
-    then rule index. Raises `ResourceLimitError` when the set does not close
-    within the budget or by `deadline`, and at the first step by a pumping
-    rule: that step shows the set is infinite (see `pumps`).
+    then rule index. Each term, t included, spends one unit of a `Meter` of
+    `budget` terms. Also raises `ResourceLimitError` at the first step by a
+    pumping rule: that step shows the set is infinite (see `pumps`).
     """
     pumping = R.pumping
+    spend = Meter("reduct closure", "terms", budget, deadline).spend
+    spend()
     seen: set[Term] = {t}
     frontier = [t]
     while frontier:
@@ -206,13 +207,7 @@ def closed_reducts(
                     )
                 if u not in seen:
                     seen.add(u)
-                    if len(seen) > budget:
-                        raise ResourceLimitError(
-                            f"reduct closure exceeded {budget} terms"
-                        )
-                    if (deadline is not None and not len(seen) % 256
-                            and time.monotonic() > deadline):
-                        raise ResourceLimitError("reduct closure passed the deadline")
+                    spend()
                     nxt.append(u)
         frontier = nxt
     return seen
@@ -232,16 +227,11 @@ def normalize(
     R: TRS, t: Term, budget: int = DEFAULT_NODE_BUDGET, deadline: float | None = None
 ) -> tuple[Term, list[tuple[int, Position, Term]]]:
     """Reduce t to a normal form, outermost-leftmost, recording each step.
-    Raises `ResourceLimitError` past the budget or past `deadline`, a
-    time.monotonic() value (None sets no deadline)."""
+    Each step spends one unit of a `Meter` of `budget` steps."""
+    spend = Meter("normalization", "steps", budget, deadline).spend
     steps: list[tuple[int, Position, Term]] = []
-    for _ in range(budget):
-        reducts = one_step_reducts(R, t)
-        if not reducts:
-            return t, steps
-        step = reducts[0]
-        steps.append(step)
-        t = step[2]
-        if deadline is not None and not len(steps) % 256 and time.monotonic() > deadline:
-            raise ResourceLimitError("normalization passed the deadline")
-    raise ResourceLimitError(f"normalization exceeded {budget} steps")
+    while reducts := one_step_reducts(R, t):
+        spend()
+        steps.append(reducts[0])
+        t = reducts[0][2]
+    return t, steps

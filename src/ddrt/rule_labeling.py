@@ -8,12 +8,11 @@ the two rule indices coincide or ``a > b`` holds.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .critical_pairs import CriticalPair
-from .errors import ResourceLimitError
+from .errors import Meter
 from .joinability import JoinInstance
 
 
@@ -178,20 +177,17 @@ def solve_precedence(
     map smaller, so a partial map whose gaps outnumber the indices still
     without a level is dropped too. Only branches without that map are
     dropped, so the map found is the lexicographically least one. Indices
-    not in f get level 0. Raises ResourceLimitError past `deadline`, a
-    time.monotonic() value (None sets no deadline).
+    not in f get level 0. Each node spends one unit of a `Meter` with no
+    limit.
     """
     involved = sorted(atom_indices(f))
     m = len(involved)
     levels: LevelMap = {}
     uses = [0] * m  # how many indices in the partial map sit at each level
-    nodes = 0
+    spend = Meter("precedence search", "nodes", None, deadline).spend
 
     def extend(i: int, top: int, distinct: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if deadline is not None and not nodes % 256 and time.monotonic() > deadline:
-            raise ResourceLimitError("precedence search passed the deadline")
+        spend()
         value = evaluate(f, levels)
         if value is False:
             return False

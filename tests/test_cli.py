@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from ddrt import Config, cli
 from ddrt.cli import run
 from ddrt.tpdb import ParseError, format_trs, parse_trs
 from conftest import DATA_DIR, data_path, term
@@ -320,3 +321,31 @@ class TestRunBatch:
 
     def test_batch_and_files_conflict(self, tmp_path):
         assert run(["--batch", str(tmp_path), data_path("fork.trs")]) == 2
+
+
+class TestOutOfMemory:
+    @staticmethod
+    def _exhausted(*args):
+        raise MemoryError
+
+    def test_while_parsing(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "parse_trs", self._exhausted)
+        path = data_path("fork.trs")
+        assert run([path]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: out of memory\n")
+
+    def test_while_printing_the_proof_no_verdict_is_printed(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_trace", self._exhausted)
+        path = data_path("fork.trs")
+        assert run(["--proof", path]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: out of memory\n")
+
+    def test_in_a_batch_worker(self, monkeypatch):
+        monkeypatch.setattr(cli, "parse_trs", self._exhausted)
+        path = data_path("fork.trs")
+        assert cli._batch_worker((path, Config())) == (path, "ERROR", "out of memory")
+
+
+def test_flag_defaults_are_the_config_defaults(monkeypatch):
+    monkeypatch.delenv("DDRT_EXTERNAL_PROVER", raising=False)
+    assert cli._config_from(cli.build_parser().parse_args(["f.trs"])) == Config()

@@ -350,3 +350,12 @@ class TestSharedAnalysis:
         for _, _, paths, _ in tracing.TARGETS:
             module, _, attr = paths[0].rpartition(".")
             assert callable(getattr(importlib.import_module(module), attr, None)), paths[0]
+
+
+def test_join_search_over_its_budget_past_the_deadline_reports_the_budget():
+    # the budget stops the search at its 11th state, before the clock is read at the 256th
+    R = system("h(x) -> p(a,a,a,a)", "h(x) -> p(b,b,b,b)",
+               "a -> b", "b -> a", "a -> c", "c -> b")
+    a = Analysis(R, Config(node_budget=10))
+    a.deadline = time.monotonic()
+    assert a.joins == "joinability search hit the node budget at k=4"

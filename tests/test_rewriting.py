@@ -491,3 +491,11 @@ def test_development_decomposition_fails_without_left_linearity():
     t = term("f(a,g(b))")
     assert t in multistep_reducts(R, lsig)
     assert not _check_development_case(R, rule, sigma, t)
+
+
+def test_normalization_that_fits_its_budget_exactly():
+    R = system("a -> b", "b -> c")
+    nf, steps = normalize(R, term("a"), budget=2)
+    assert nf == term("c") and len(steps) == 2
+    with pytest.raises(ResourceLimitError, match="^normalization exceeded 1 steps$"):
+        normalize(R, term("a"), budget=1)

@@ -11,8 +11,9 @@ removed before every run, and none are written.
 
 Prints each run's metrics on stderr as it ends. Then, for every end-to-end
 metric in this checkout's BENCHMARK.json, prints the parent's median, the
-change's median, the parent's interquartile range and the number of pairs
-the change won (ties count for neither side). Exits 1 as soon as a run is
+change's median, the parent's interquartile range, the number of pairs the
+change won (ties count for neither side), the change's median relative to
+the parent's, and a verdict (see `verdict`). Exits 1 as soon as a run is
 not `correct` or has a failed call.
 """
 
@@ -53,6 +54,27 @@ def iqr(values: list[float]) -> float:
     return q3 - q1
 
 
+def verdict(parent: list[float], change: list[float], better: str,
+            bound: float) -> tuple[float, str]:
+    """The change's median relative to the parent's, and a verdict.
+
+    `unresolved`: the parent's interquartile range is wider than `bound`, a
+    fraction of the parent's median, and not every change run beats every
+    parent run; within that spread no difference of medians, past the bound
+    or not, can be told from noise. `worse`: otherwise, the change's median
+    is worse than the parent's by more than the bound. `ok`: neither.
+    """
+    base = statistics.median(parent)
+    relative = (statistics.median(change) - base) / base
+    sign = 1 if better == "lower" else -1
+    beats_all = all(sign * (p - c) > 0 for p in parent for c in change)
+    if iqr(parent) > bound * base and not beats_all:
+        return relative, "unresolved"
+    if sign * relative > bound:
+        return relative, "worse"
+    return relative, "ok"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", type=Path, help="checkout of the parent commit")
@@ -77,15 +99,17 @@ def main(argv=None) -> int:
 
     print(f"{args.workload}, {args.pairs} pairs, seed 1, 25 s runs")
     print(f"{'metric':<16}{'parent median':>15}{'change median':>15}"
-          f"{'parent IQR':>12}{'change won':>12}")
+          f"{'parent IQR':>12}{'change won':>12}{'change':>9}  verdict (bound)")
     for m in metrics:
         name = m["name"]
         parent = [r[name] for r in runs["parent"]]
         change = [r[name] for r in runs["change"]]
         sign = 1 if m["better"] == "lower" else -1
         won = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+        relative, judged = verdict(parent, change, m["better"], m["bound"])
         print(f"{name:<16}{statistics.median(parent):>15.4g}{statistics.median(change):>15.4g}"
-              f"{iqr(parent):>12.4g}{won:>9}/{args.pairs}")
+              f"{iqr(parent):>12.4g}{won:>9}/{args.pairs}{relative:>+9.1%}"
+              f"  {judged} ({m['bound']:.0%})")
     return 0
 
 
