@@ -202,6 +202,9 @@ def run(argv: list[str] | None = None) -> int:
         if args.files:
             print("error: --batch does not take FILE arguments", file=sys.stderr)
             return 2
+        if args.proof:
+            print("error: --batch does not print proofs (--proof)", file=sys.stderr)
+            return 2
         return _run_batch(args.batch, cfg)
     if not args.files:
         parser.print_usage(sys.stderr)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import wraps
 from itertools import product
 from typing import Optional
 
@@ -148,18 +148,41 @@ class _Candidates:
         return mats, tuple(self.consts[i].tolist())
 
 
-@lru_cache(maxsize=None)
+def _cached_by_shape(build):
+    """Cache `build` by its positional arguments, the shape, as `lru_cache`
+    would; the deadline stays out of the key. A build the deadline stops
+    raises, so it is not kept."""
+    cache: dict[tuple, _Candidates] = {}
+
+    @wraps(build)
+    def cached(*shape, deadline: Optional[float] = None) -> _Candidates:
+        if shape not in cache:
+            cache[shape] = build(*shape, deadline=deadline)
+        return cache[shape]
+
+    return cached
+
+
+# prefixes handled between two spends of the candidate build's meter
+_CHUNK = 64
+
+
+@_cached_by_shape
 def _candidates(arity: int, dim: int, coef_max: int, const_max: int,
-                weight_cap: Optional[int]) -> _Candidates:
+                weight_cap: Optional[int], deadline: Optional[float] = None) -> _Candidates:
     """Every candidate whose entries sum to at most weight_cap (no cap when
     None), ordered by weight and then lexicographically by the flat entries
     (argument matrices row by row, then the constant).
 
     Sparse candidates come first: solutions tend to use few nonzero entries,
     and the node budget cuts off the dense tail anyway. Only prefixes that
-    still fit under the cap are extended, so the cap bounds the work.
+    still fit under the cap are extended, so the cap bounds the work. Each
+    chunk of prefixes spends one unit of a `Meter` with no limit, so the
+    build stops at the deadline.
     """
     import numpy as np
+
+    spend = Meter("candidate build", "chunks", None, deadline).spend
 
     matrix = [(1, coef_max)] + [(0, coef_max)] * (dim * dim - 1)
     bounds = matrix * arity + [(0, const_max)] * dim
@@ -172,15 +195,20 @@ def _candidates(arity: int, dim: int, coef_max: int, const_max: int,
     prefixes: list[tuple[tuple[int, ...], int]] = [((), 0)]
     for i, (lo, hi) in enumerate(bounds):
         room = weight_cap - floor[i + 1]
-        prefixes = [
-            (prefix + (x,), total + x)
-            for prefix, total in prefixes
-            for x in range(lo, min(hi, room - total) + 1)
-        ]
+        grown: list[tuple[tuple[int, ...], int]] = []
+        for start in range(0, len(prefixes), _CHUNK):
+            spend()
+            grown += [
+                (prefix + (x,), total + x)
+                for prefix, total in prefixes[start:start + _CHUNK]
+                for x in range(lo, min(hi, room - total) + 1)
+            ]
+        prefixes = grown
     prefixes.sort(key=lambda c: c[1])
-    flat = np.array([v for v, _ in prefixes], dtype=np.int64).reshape(
-        len(prefixes), len(bounds)
-    )
+    flat = np.empty((len(prefixes), len(bounds)), dtype=np.int64)
+    for start in range(0, len(prefixes), _CHUNK):
+        spend()
+        flat[start:start + _CHUNK] = [v for v, _ in prefixes[start:start + _CHUNK]]
     split = arity * dim * dim
     mats = flat[:, :split].reshape(len(prefixes), arity, dim, dim)
     consts = flat[:, split:]
@@ -263,7 +291,7 @@ def search_interpretation(
     cands = {
         s: _candidates(
             sig[s], dim, coef_max, const_max,
-            None if weight_extra is None else sig[s] + weight_extra,
+            None if weight_extra is None else sig[s] + weight_extra, deadline=deadline,
         )
         for s in sig
     }
@@ -479,7 +507,8 @@ def external_termination_check(
 
     from .tpdb import format_trs
 
-    timeout = None if deadline is None else deadline - time.monotonic()
+    # capped: the wait reaches poll() in whole milliseconds, at most 2**31 - 1
+    timeout = None if deadline is None else min(deadline - time.monotonic(), 1e6)
     if not command or (timeout is not None and timeout <= 0):
         return "unknown"
     try:

@@ -14,14 +14,12 @@ from functools import cache
 from itertools import combinations
 
 from .errors import Meter
-from .rewriting import DEFAULT_NODE_BUDGET, TRS, one_step_reducts
+from .rewriting import DEFAULT_NODE_BUDGET, TRS
 from .terms import Position, Term
 
 Trace = tuple[tuple[Position, Term], ...]
 Seq = tuple[int, ...]
 Key = tuple[Seq, Seq]
-# each expanded term's one-step reducts, in the order the search visits them
-Reducts = dict[Term, list[tuple[int, Position, Term]]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,14 +36,13 @@ class JoinInstance:
 
 
 def _label_reachable(
-    R: TRS, t: Term, k: int, budget: int, reducts: Reducts, deadline: float | None
+    R: TRS, t: Term, k: int, budget: int, deadline: float | None
 ) -> dict[Term, dict[tuple[int, ...], Trace]]:
     """Map each term reachable within k steps to its label sequences and traces.
 
-    A term's reducts are looked up in `reducts` and computed only on a miss,
-    so a term reached by many label sequences, or by many searches sharing
-    the dict, is expanded once. Each state, the root included, spends one
-    unit of a `Meter` of `budget` states.
+    A term's reducts come from `R.reducts`, so a term reached by many label
+    sequences, or by many searches over R, is expanded once. Each state, the
+    root included, spends one unit of a `Meter` of `budget` states.
     """
     reached: dict[Term, dict[tuple[int, ...], Trace]] = {t: {(): ()}}
     frontier: list[tuple[Term, tuple[int, ...], Trace]] = [(t, (), ())]
@@ -54,10 +51,7 @@ def _label_reachable(
     for _ in range(k):
         nxt: list[tuple[Term, tuple[int, ...], Trace]] = []
         for s, seq, trace in frontier:
-            steps = reducts.get(s)
-            if steps is None:
-                steps = reducts[s] = sorted(one_step_reducts(R, s))
-            for idx, pos, u in steps:
+            for idx, pos, u in R.reducts(s):
                 useq = seq + (idx,)
                 per_term = reached.setdefault(u, {})
                 if useq in per_term:
@@ -70,15 +64,16 @@ def _label_reachable(
 
 
 def _join_candidates(
-    R: TRS, s: Term, t: Term, k: int, budget: int, reducts: Reducts,
-    deadline: float | None,
+    R: TRS, s: Term, t: Term, k: int, budget: int, deadline: float | None
 ) -> dict[Key, tuple[Term, Trace, Trace]]:
     """Every k-join of (s, t) by label sequences, with the first meet and
-    traces found for each."""
-    left = _label_reachable(R, s, k, budget, reducts, deadline)
-    right = _label_reachable(R, t, k, budget, reducts, deadline)
+    traces found for each. Each pair of sequences at a meet spends one unit
+    of a `Meter` with no limit, so the product stops at the deadline."""
+    left = _label_reachable(R, s, k, budget, deadline)
+    right = _label_reachable(R, t, k, budget, deadline)
+    spend = Meter("joinability search", "candidates", None, deadline).spend
     candidates: dict[Key, tuple[Term, Trace, Trace]] = {}
-    # left is filled in a fixed breadth-first order over sorted reducts, so
+    # left is filled in a fixed breadth-first order over `R.reducts`, so
     # walking it (not a set of meets) keeps the first meet hash-independent
     for meet, lefts in left.items():
         rights = right.get(meet)
@@ -86,6 +81,7 @@ def _join_candidates(
             continue
         for lseq, ltrace in lefts.items():
             for rseq, rtrace in rights.items():
+                spend()
                 candidates.setdefault((lseq, rseq), (meet, ltrace, rtrace))
     return candidates
 
@@ -94,12 +90,13 @@ def _order(key: Key) -> tuple[int, Key]:
     return len(key[0]) + len(key[1]), key
 
 
-def _minimal_keys(keys) -> list[Key]:
+def _minimal_keys(keys, deadline: float | None) -> list[Key]:
     """The keys into which no other key embeds componentwise.
 
     A key is dominated exactly when some pair of its subsequences, other than
     itself, is a key too, so each key costs a few set lookups instead of a
-    scan over all other keys.
+    scan over all other keys. Each key spends one unit of a `Meter` with no
+    limit, so the filter stops at the deadline.
     """
     by_left: dict[Seq, set[Seq]] = {}
     for lseq, rseq in keys:
@@ -109,7 +106,10 @@ def _minimal_keys(keys) -> list[Key]:
     def proper_subsequences(seq: Seq) -> frozenset[Seq]:
         return frozenset(c for n in range(len(seq)) for c in combinations(seq, n))
 
+    spend = Meter("joinability search", "candidates", None, deadline).spend
+
     def dominated(lseq: Seq, rseq: Seq) -> bool:
+        spend()
         rbelow = proper_subsequences(rseq)
         return not by_left[lseq].isdisjoint(rbelow) or any(
             rights is not None and (rseq in rights or not rights.isdisjoint(rbelow))
@@ -121,19 +121,13 @@ def _minimal_keys(keys) -> list[Key]:
 
 def join_instances(
     R: TRS, s: Term, t: Term, k: int, budget: int = DEFAULT_NODE_BUDGET,
-    reducts: Reducts | None = None, deadline: float | None = None,
+    deadline: float | None = None,
 ) -> list[JoinInstance]:
     """All minimal k-join instances of (s, t), deduplicated by label sequences,
     by total length and then label sequences. The first is the least k-join
-    of all, since anything that embeds into it is shorter.
-
-    `reducts` memoizes one-step reducts of R; pass the same dict to every
-    search over R to expand each term once. Without it, the two sides share
-    a fresh one."""
-    if reducts is None:
-        reducts = {}
-    candidates = _join_candidates(R, s, t, k, budget, reducts, deadline)
+    of all, since anything that embeds into it is shorter."""
+    candidates = _join_candidates(R, s, t, k, budget, deadline)
     return [
         JoinInstance(*key, *candidates[key])
-        for key in sorted(_minimal_keys(candidates), key=_order)
+        for key in sorted(_minimal_keys(candidates, deadline), key=_order)
     ]

@@ -69,7 +69,6 @@ class Analysis:
         self.cfg = cfg or Config()
         self.deadline = time.monotonic() + self.cfg.timeout
         self._instances: list[list[JoinInstance]] = []
-        self._reducts: joinability.Reducts = {}
 
     @cached_property
     def pairs(self) -> list[CriticalPair]:
@@ -78,14 +77,13 @@ class Analysis:
     def instances(self) -> Iterator[list[JoinInstance]]:
         """The minimal join instances within k steps of each critical pair,
         at most instance_cap of them, in pair order. Each pair is searched
-        on first use, and every search shares one memo of one-step reducts;
-        a search that raises is not kept."""
+        on first use; a search that raises is not kept."""
         cfg = self.cfg
         for i, cp in enumerate(self.pairs):
             if i == len(self._instances):
                 # through the module, so that wrappers installed on it see the call
                 self._instances.append(joinability.join_instances(
-                    self.R, cp.left, cp.right, cfg.k, cfg.node_budget, self._reducts,
+                    self.R, cp.left, cp.right, cfg.k, cfg.node_budget,
                     self.deadline)[:cfg.instance_cap])
             yield self._instances[i]
 

@@ -91,6 +91,19 @@ class TRS:
             index.setdefault(r.lhs.symbol, []).append(r)
         return {f: tuple(rs) for f, rs in index.items()}
 
+    @cached_property
+    def _reducts(self) -> dict[Term, list[tuple[int, Position, Term]]]:
+        return {}
+
+    def reducts(self, t: Term) -> list[tuple[int, Position, Term]]:
+        """`one_step_reducts(self, t)`, computed once per term for the life of
+        the system. Every search shares the list, so none may change it."""
+        found = self._reducts.get(t)
+        if found is None:
+            # through the module name, so that wrappers installed on it see the call
+            found = self._reducts[t] = one_step_reducts(self, t)
+        return found
+
     def __len__(self) -> int:
         return len(self.rules)
 
@@ -200,7 +213,7 @@ def closed_reducts(
     while frontier:
         nxt: list[Term] = []
         for s in frontier:
-            for i, _, u in one_step_reducts(R, s):
+            for i, _, u in R.reducts(s):
                 if i in pumping:
                     raise ResourceLimitError(
                         f"reduct closure is infinite: rule {i} pumps"
@@ -214,13 +227,7 @@ def closed_reducts(
 
 
 def is_normal_form(R: TRS, t: Term) -> bool:
-    by_root = R.by_root
-    for _, s in iter_positions(t):
-        if isinstance(s, Fun) and any(
-            match(r.lhs, s) is not None for r in by_root.get(s.symbol, ())
-        ):
-            return False
-    return True
+    return not R.reducts(t)
 
 
 def normalize(
@@ -230,7 +237,7 @@ def normalize(
     Each step spends one unit of a `Meter` of `budget` steps."""
     spend = Meter("normalization", "steps", budget, deadline).spend
     steps: list[tuple[int, Position, Term]] = []
-    while reducts := one_step_reducts(R, t):
+    while reducts := R.reducts(t):
         spend()
         steps.append(reducts[0])
         t = reducts[0][2]

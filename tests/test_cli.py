@@ -174,6 +174,20 @@ class TestRunSingle:
         assert run(["--timeout", "nan", data_path("fork.trs")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("timeout", ["1e7", "inf"])
+    def test_huge_timeout_reaches_the_external_prover(self, timeout, tmp_path, capsys):
+        # the prover's wait reaches poll() in whole milliseconds, at most 2**31 - 1
+        tool = tmp_path / "prover.sh"
+        tool.write_text("#!/bin/sh\necho YES\n")
+        tool.chmod(0o755)
+        path = tmp_path / "cycle.trs"
+        path.write_text("(RULES c -> a f(a) -> f(b) f(b) -> f(a))")
+        argv = ["--criterion", "kb", "--external-prover", str(tool), "--timeout", timeout]
+        assert run(argv + ["--proof", str(path)]) == 0
+        first, trace = capsys.readouterr().out.split("\n", 1)
+        assert first == "YES"
+        assert json.loads(trace)["details"]["termination"]["union_termination"] == "external"
+
     def test_term_deeper_than_recursion_limit(self, tmp_path, capsys):
         deep = tmp_path / "deep.trs"
         deep.write_text(_deep_rules(3000))
@@ -321,6 +335,13 @@ class TestRunBatch:
 
     def test_batch_and_files_conflict(self, tmp_path):
         assert run(["--batch", str(tmp_path), data_path("fork.trs")]) == 2
+
+    def test_batch_and_proof_conflict(self, tmp_path, capsys):
+        # a batch prints one line per file, so it would drop the proofs
+        (tmp_path / "fork.trs").write_text((DATA_DIR / "fork.trs").read_text())
+        assert run(["--proof", "--batch", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
 
 class TestOutOfMemory:

@@ -28,6 +28,7 @@ from ddrt.interpretations import (
     prove_termination,
     search_interpretation,
 )
+from ddrt.errors import Timeout
 from ddrt.rewriting import Rule
 from ddrt.terms import Fun, apply_subst, iter_positions, match, replace_at, variables
 from ddrt.tpdb import parse_trs
@@ -135,6 +136,14 @@ class TestCandidates:
         assert len(cands.weights) == sum(comb(27, k) for k in range(4))
         assert list(cands.weights) == sorted(cands.weights) and cands.weights[-1] == 6
 
+    def test_build_stops_at_the_deadline_and_is_not_kept(self):
+        # the whole build takes about 20 s; a stopped one raises on every call
+        for wait in (0.5, 0.0):
+            start = time.monotonic()
+            with pytest.raises(Timeout, match="candidate build passed the deadline"):
+                _candidates(3, 6, 1, 1, 6, deadline=start + wait)
+            assert time.monotonic() - start < wait + 1.0
+
 
 def test_ternary_duplicating_system_kb_answers_within_timeout(tmp_path, capsys):
     path = tmp_path / "ternary.trs"
@@ -142,6 +151,16 @@ def test_ternary_duplicating_system_kb_answers_within_timeout(tmp_path, capsys):
     start = time.perf_counter()
     assert run(["--criterion", "kb", "--timeout", "5", str(path)]) == 0
     assert time.perf_counter() - start < 10.0
+    assert capsys.readouterr().out.splitlines()[0] == "MAYBE"
+
+
+def test_kb_at_dimension_6_answers_at_the_timeout(tmp_path, capsys):
+    # the full build of the ternary candidates of dimension 6 takes about 20 s
+    path = tmp_path / "ternary.trs"
+    path.write_text("(VAR x)(RULES f(a,b,x) -> f(x,x,x) c -> a c -> b)")
+    start = time.perf_counter()
+    assert run(["--criterion", "kb", "--dim-max", "6", "--timeout", "2", str(path)]) == 0
+    assert time.perf_counter() - start < 3.5
     assert capsys.readouterr().out.splitlines()[0] == "MAYBE"
 
 

@@ -9,12 +9,12 @@ from itertools import combinations
 
 import pytest
 
-from ddrt import Config, joinability, trs
+from ddrt import Config, joinability, prove, rewriting, trs
 from ddrt.critical_pairs import critical_pairs
-from ddrt.errors import ResourceLimitError
+from ddrt.errors import ResourceLimitError, Timeout
 from ddrt.joinability import join_instances
 from ddrt.prover import Analysis
-from ddrt.rewriting import one_step_reducts
+from ddrt.rewriting import TRS, one_step_reducts
 from ddrt.terms import Fun, Var, variables
 from ddrt.tpdb import parse_trs
 from conftest import DATA_DIR, system, term
@@ -235,20 +235,20 @@ def _described(instances):
     ]
 
 
-def _joins_or_limit(R, s, t, k, budget, reducts=None):
+def _joins_or_limit(R, s, t, k, budget):
     try:
-        return _described(join_instances(R, s, t, k, budget, reducts))
+        return _described(join_instances(R, s, t, k, budget))
     except ResourceLimitError as e:
         return str(e)
 
 
 def _assert_shared_memo_changes_nothing(R, k, budget=2_000):
-    """One memo shared by the searches of all critical pairs of R gives each
-    pair what a search of its own gives, budget overruns included."""
-    reducts: joinability.Reducts = {}
+    """The memo of one-step reducts of R, warmed by the searches of all
+    critical pairs before it, gives each pair what a search over a fresh copy
+    of R gives, budget overruns included."""
     for cp in critical_pairs(R):
-        shared = _joins_or_limit(R, cp.left, cp.right, k, budget, reducts)
-        assert shared == _joins_or_limit(R, cp.left, cp.right, k, budget), (
+        shared = _joins_or_limit(R, cp.left, cp.right, k, budget)
+        assert shared == _joins_or_limit(TRS(R.rules), cp.left, cp.right, k, budget), (
             f"{cp} under {list(map(str, R.rules))}"
         )
 
@@ -294,9 +294,9 @@ def test_shared_reducts_change_no_join_on_random_systems(draw):
 
 def test_analysis_expands_each_term_once(monkeypatch):
     expanded = Counter()
-    step = joinability.one_step_reducts
+    step = rewriting.one_step_reducts
     monkeypatch.setattr(
-        joinability, "one_step_reducts", lambda R, t: expanded.update([t]) or step(R, t)
+        rewriting, "one_step_reducts", lambda R, t: expanded.update([t]) or step(R, t)
     )
     systems = [parse_trs(path.read_text()) for path in sorted(DATA_DIR.glob("*.trs"))]
     for R in systems + [system(*STRING_SYSTEM)]:
@@ -305,6 +305,22 @@ def test_analysis_expands_each_term_once(monkeypatch):
             list(Analysis(R, Config(node_budget=2_000)).instances())
         except ResourceLimitError:
             pass
+        assert max(expanded.values(), default=1) == 1, list(map(str, R.rules))
+    assert expanded
+
+
+def test_prove_expands_each_term_once(monkeypatch):
+    """Every criterion of auto mode reads the one memo of its system: nc's
+    closures, kb's normalizations and the join search expand no term twice."""
+    expanded = Counter()
+    step = rewriting.one_step_reducts
+    monkeypatch.setattr(
+        rewriting, "one_step_reducts", lambda R, t: expanded.update([t]) or step(R, t)
+    )
+    systems = [parse_trs(path.read_text()) for path in sorted(DATA_DIR.glob("*.trs"))]
+    for R in systems + [system(*STRING_SYSTEM)]:
+        expanded.clear()
+        prove(R, Config())
         assert max(expanded.values(), default=1) == 1, list(map(str, R.rules))
     assert expanded
 
@@ -319,3 +335,32 @@ def test_join_search_stops_at_the_deadline():
     assert join_instances(R, s, t, 4, deadline=time.monotonic() + 60)
     with pytest.raises(ResourceLimitError, match="joinability search passed the deadline"):
         join_instances(R, s, t, 4, deadline=time.monotonic())
+
+
+def test_join_product_stops_at_the_deadline(monkeypatch):
+    # 623 states a side, so the search of the reach sets reads the clock
+    # itself; here they are given, and the 1286 pairs at the meets remain
+    R = system(*WIDE)
+    s, t = term("p(a,a,a,a)"), term("p(b,b,b,b)")
+    reached = {u: joinability._label_reachable(R, u, 4, 10_000, None) for u in (s, t)}
+    monkeypatch.setattr(joinability, "_label_reachable", lambda R, u, *_: reached[u])
+    assert len(joinability._join_candidates(R, s, t, 4, 10_000, None)) == 189
+    with pytest.raises(Timeout, match="joinability search passed the deadline"):
+        joinability._join_candidates(R, s, t, 4, 10_000, time.monotonic() - 1)
+
+
+def test_minimal_key_filter_stops_at_the_deadline():
+    keys = [((i,), (j,)) for i in range(16) for j in range(16)]
+    assert joinability._minimal_keys(keys, None) == keys
+    with pytest.raises(Timeout, match="joinability search passed the deadline"):
+        joinability._minimal_keys(keys, time.monotonic() - 1)
+
+
+@pytest.mark.parametrize("criterion", ["rl", "dd2"])
+def test_wide_joins_at_k_8_answer_at_the_deadline(criterion):
+    # millions of pairs of label sequences meet at k=8; taking their product
+    # and filtering it takes several times longer than the reach sets
+    start = time.monotonic()
+    v = prove(system(*WIDE), Config(k=8, timeout=1, criteria=(criterion,)))
+    assert time.monotonic() - start < 3
+    assert v.details["per_criterion"][criterion]["reason"] == "timeout"
