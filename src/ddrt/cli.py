@@ -15,13 +15,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .critical_pairs import CriticalPair, Overlap
-from .interpretations import MatrixInterpretation
-from .joinability import JoinInstance
 from .prover import Config, DEFAULT_CRITERIA, prove
-from .rewriting import TRS, Rule
-from .rule_labeling import Formula
-from .terms import Fun, Var
 from .tpdb import ParseError, parse_trs
 from .verdict import Verdict
 
@@ -29,49 +23,20 @@ CRITERION_CHOICES = ("auto",) + DEFAULT_CRITERIA
 
 
 def _jsonify(obj):
+    """Proof details as JSON values. Systems, overlaps, critical pairs, join
+    instances and interpretations render themselves with `to_json`, so that
+    printing a proof loads no module its criterion did not; terms, rules and
+    formulas print as their text."""
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
-    if isinstance(obj, (Var, Fun, Rule, Formula)):
-        return str(obj)
-    if isinstance(obj, TRS):
-        return [str(r) for r in obj.rules]
-    if isinstance(obj, Overlap):
-        return {
-            "inner": obj.inner.index,
-            "outer": obj.outer.index,
-            "pos": list(obj.pos),
-            "source": str(obj.source),
-        }
-    if isinstance(obj, CriticalPair):
-        return {
-            "left": str(obj.left),
-            "right": str(obj.right),
-            "origin": _jsonify(obj.origin),
-        }
-    if isinstance(obj, JoinInstance):
-        return {
-            "left_seq": list(obj.left_seq),
-            "right_seq": list(obj.right_seq),
-            "meet": str(obj.meet),
-            "left_trace": [[list(p), str(t)] for p, t in obj.left_trace],
-            "right_trace": [[list(p), str(t)] for p, t in obj.right_trace],
-        }
-    if isinstance(obj, MatrixInterpretation):
-        return {
-            "dim": obj.dim,
-            "funcs": {
-                s: {"matrices": [[list(row) for row in m] for m in mats],
-                    "const": list(const)}
-                for s, (mats, const) in sorted(obj.funcs.items())
-            },
-        }
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(x) for x in obj]
     if isinstance(obj, (set, frozenset)):
         return sorted(_jsonify(x) for x in obj)
-    return str(obj)
+    to_json = getattr(obj, "to_json", None)
+    return str(obj) if to_json is None else to_json()
 
 
 def _trace(v: Verdict) -> str:
@@ -163,18 +128,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Confluence prover for first-order term rewrite systems "
         "(TPDB plain format).",
     )
+    defaults = Config()
     parser.add_argument("files", nargs="*", metavar="FILE", help="a .trs problem file")
     parser.add_argument(
         "--criterion", choices=CRITERION_CHOICES, default="auto",
         help="restrict to one criterion (default: run all)",
     )
-    parser.add_argument("--k", type=int, default=Config.k,
+    parser.add_argument("--k", type=int, default=defaults.k,
                         help="join bound (default %(default)s)")
-    parser.add_argument("--timeout", type=float, default=Config.timeout,
+    parser.add_argument("--timeout", type=float, default=defaults.timeout,
                         help="global timeout in seconds (default %(default)s)")
-    parser.add_argument("--dim-max", type=int, default=Config.dim_max,
+    parser.add_argument("--dim-max", type=int, default=defaults.dim_max,
                         help="maximum interpretation dimension (default %(default)s)")
-    parser.add_argument("--coef-max", type=int, default=Config.coef_max,
+    parser.add_argument("--coef-max", type=int, default=defaults.coef_max,
                         help="maximum matrix coefficient (default %(default)s)")
     parser.add_argument(
         "--external-prover", default=None, metavar="CMD",

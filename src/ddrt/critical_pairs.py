@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .rewriting import TRS, Rule, fresh_trs, rename_apart
 from .terms import (
+    Frozen,
     Fun,
     Position,
     Subst,
@@ -18,28 +17,50 @@ from .terms import (
     variables,
 )
 
+_set = object.__setattr__
 
-@dataclass(frozen=True, eq=False)
-class Overlap:
-    inner: Rule  # renamed-apart variant; keeps its original index
-    pos: Position
-    outer: Rule
-    mgu: Subst
+
+class Overlap(Frozen):
+    """`inner` is a renamed-apart variant that keeps its original index.
+    Overlaps compare by identity."""
+
+    __slots__ = ("inner", "pos", "outer", "mgu")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, inner: Rule, pos: Position, outer: Rule, mgu: Subst) -> None:
+        _set(self, "inner", inner)
+        _set(self, "pos", pos)
+        _set(self, "outer", outer)
+        _set(self, "mgu", mgu)
 
     @property
     def source(self) -> Term:
         return apply_subst(self.mgu, self.outer.lhs)
 
+    def to_json(self) -> dict:
+        return {"inner": self.inner.index, "outer": self.outer.index, "pos": list(self.pos),
+                "source": str(self.source)}
 
-@dataclass(frozen=True, eq=False)
-class CriticalPair:
-    left: Term  # outer lhs with the inner redex contracted
-    right: Term  # outer rule contractum
-    origin: Overlap
+
+class CriticalPair(Frozen):
+    """`left` is the outer lhs with the inner redex contracted, `right` the
+    outer rule's contractum. Critical pairs compare by identity."""
+
+    __slots__ = ("left", "right", "origin")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, left: Term, right: Term, origin: Overlap) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "origin", origin)
 
     @property
     def trivial(self) -> bool:
         return self.left == self.right
+
+    def to_json(self) -> dict:
+        return {"left": str(self.left), "right": str(self.right),
+                "origin": self.origin.to_json()}
 
 
 def overlaps(R: TRS) -> list[Overlap]:

@@ -11,14 +11,12 @@ entrywise, strictly when the first constant component decreases.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import wraps
 from itertools import product
-from typing import Optional
 
 from .errors import Meter, ResourceLimitError, Timeout
-from .rewriting import TRS, Rule, fresh_trs, pumps
-from .terms import Fun, Term, Var, iter_positions, match
+from .rewriting import DEFAULT_SEARCH_BUDGET, TRS, Rule, fresh_trs, pumps
+from .terms import Frozen, Fun, Term, Var, iter_positions, match
 from .verdict import Verdict, maybe, yes
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -28,7 +26,7 @@ STRICT = "strict"
 WEAK = "weak"
 INCOMPARABLE = "incomparable"
 
-DEFAULT_SEARCH_BUDGET = 400_000
+_set = object.__setattr__
 
 
 def identity(dim: int) -> Matrix:
@@ -62,28 +60,46 @@ def mat_geq(a: Matrix, b: Matrix) -> bool:
     return all(x >= y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-@dataclass(frozen=True)
-class MatrixInterpretation:
-    dim: int
-    funcs: dict[str, tuple[tuple[Matrix, ...], Vector]]  # symbol -> (arg matrices, constant)
+class MatrixInterpretation(Frozen):
+    """`funcs` maps each symbol to its argument matrices and constant."""
 
-    def __post_init__(self) -> None:
-        for symbol, (mats, _) in self.funcs.items():
+    __slots__ = ("dim", "funcs")
+
+    def __init__(self, dim: int, funcs: dict[str, tuple[tuple[Matrix, ...], Vector]]) -> None:
+        for symbol, (mats, _) in funcs.items():
             for m in mats:
                 if m[0][0] < 1:
                     raise ValueError(f"{symbol}: argument matrix with zero upper-left entry")
+        _set(self, "dim", dim)
+        _set(self, "funcs", funcs)
+
+    def to_json(self) -> dict:
+        return {
+            "dim": self.dim,
+            "funcs": {
+                s: {"matrices": [[list(row) for row in m] for m in mats],
+                    "const": list(const)}
+                for s, (mats, const) in sorted(self.funcs.items())
+            },
+        }
 
 
-@dataclass(frozen=True)
-class LinearForm:
-    coeffs: dict[str, Matrix]
-    const: Vector
+class LinearForm(Frozen):
+    __slots__ = ("coeffs", "const")
+
+    def __init__(self, coeffs: dict[str, Matrix], const: Vector) -> None:
+        _set(self, "coeffs", coeffs)
+        _set(self, "const", const)
 
 
-@dataclass(frozen=True)
-class RelTermProblem:
-    strict: TRS
-    weak: TRS
+class RelTermProblem(Frozen):
+    """Termination of `strict` relative to `weak`."""
+
+    __slots__ = ("strict", "weak")
+
+    def __init__(self, strict: TRS, weak: TRS) -> None:
+        _set(self, "strict", strict)
+        _set(self, "weak", weak)
 
 
 def interpret_term(M: MatrixInterpretation, t: Term) -> LinearForm:
@@ -129,8 +145,7 @@ def _signature(rules: list[Rule]) -> tuple[dict[str, int], list[set[str]]]:
     return sig, rule_symbols
 
 
-@dataclass(frozen=True)
-class _Candidates:
+class _Candidates(Frozen):
     """Interpretation candidates for one symbol, sparsest first.
 
     Candidate i has entry sum weights[i], argument matrices mats[i] of shape
@@ -138,9 +153,12 @@ class _Candidates:
     the cache hands the same object to every search.
     """
 
-    weights: tuple[int, ...]
-    mats: np.ndarray
-    consts: np.ndarray
+    __slots__ = ("weights", "mats", "consts")
+
+    def __init__(self, weights: tuple[int, ...], mats: np.ndarray, consts: np.ndarray) -> None:
+        _set(self, "weights", weights)
+        _set(self, "mats", mats)
+        _set(self, "consts", consts)
 
     def function(self, i: int) -> tuple[tuple[Matrix, ...], Vector]:
         # Python ints: numpy integers would print differently in proofs
@@ -155,7 +173,7 @@ def _cached_by_shape(build):
     cache: dict[tuple, _Candidates] = {}
 
     @wraps(build)
-    def cached(*shape, deadline: Optional[float] = None) -> _Candidates:
+    def cached(*shape, deadline: float | None = None) -> _Candidates:
         if shape not in cache:
             cache[shape] = build(*shape, deadline=deadline)
         return cache[shape]
@@ -163,26 +181,33 @@ def _cached_by_shape(build):
     return cached
 
 
-# prefixes handled between two spends of the candidate build's meter
-_CHUNK = 64
+# rows handled between two spends of the candidate build's meter
+_CHUNK = 4096
 
 
 @_cached_by_shape
 def _candidates(arity: int, dim: int, coef_max: int, const_max: int,
-                weight_cap: Optional[int], deadline: Optional[float] = None) -> _Candidates:
+                weight_cap: int | None, deadline: float | None = None) -> _Candidates:
     """Every candidate whose entries sum to at most weight_cap (no cap when
     None), ordered by weight and then lexicographically by the flat entries
     (argument matrices row by row, then the constant).
 
     Sparse candidates come first: solutions tend to use few nonzero entries,
     and the node budget cuts off the dense tail anyway. Only prefixes that
-    still fit under the cap are extended, so the cap bounds the work. Each
-    chunk of prefixes spends one unit of a `Meter` with no limit, so the
-    build stops at the deadline.
+    still fit under the cap are extended, so the cap bounds the work. The
+    prefixes grow one entry at a time, in lexicographic order, and each one
+    keeps only its last entry and the index of its parent prefix, so a build
+    costs time linear in the prefixes; the rows are gathered once, in a
+    stable sort by weight. Each chunk of rows spends one unit of a `Meter`
+    with no limit, so the build stops at the deadline.
     """
     import numpy as np
 
     spend = Meter("candidate build", "chunks", None, deadline).spend
+
+    def spend_rows(n: int) -> None:
+        for _ in range(0, n, _CHUNK):
+            spend()
 
     matrix = [(1, coef_max)] + [(0, coef_max)] * (dim * dim - 1)
     bounds = matrix * arity + [(0, const_max)] * dim
@@ -192,28 +217,34 @@ def _candidates(arity: int, dim: int, coef_max: int, const_max: int,
     floor = [0] * (len(bounds) + 1)
     for i in range(len(bounds) - 1, -1, -1):
         floor[i] = floor[i + 1] + bounds[i][0]
-    prefixes: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    small = np.min_scalar_type(max(hi for _, hi in bounds))  # holds every entry
+    totals = np.zeros(1, dtype=np.int64)  # the weight of each prefix
+    levels: list[tuple[np.ndarray, np.ndarray]] = []  # (parents, last entries)
     for i, (lo, hi) in enumerate(bounds):
         room = weight_cap - floor[i + 1]
-        grown: list[tuple[tuple[int, ...], int]] = []
-        for start in range(0, len(prefixes), _CHUNK):
-            spend()
-            grown += [
-                (prefix + (x,), total + x)
-                for prefix, total in prefixes[start:start + _CHUNK]
-                for x in range(lo, min(hi, room - total) + 1)
-            ]
-        prefixes = grown
-    prefixes.sort(key=lambda c: c[1])
-    flat = np.empty((len(prefixes), len(bounds)), dtype=np.int64)
-    for start in range(0, len(prefixes), _CHUNK):
-        spend()
-        flat[start:start + _CHUNK] = [v for v, _ in prefixes[start:start + _CHUNK]]
+        counts = np.maximum(np.minimum(hi, room - totals) - lo + 1, 0)
+        parents = np.repeat(np.arange(len(totals)), counts)
+        # a prefix's children take the entries lo, lo + 1, ... in turn
+        firsts = np.repeat(np.cumsum(counts) - counts - lo, counts)
+        entries = np.arange(len(parents)) - firsts
+        totals = totals[parents] + entries
+        levels.append((parents, entries.astype(small)))
+        spend_rows(len(parents))
+    order = np.argsort(totals, kind="stable")
+    # each entry's column in the final order, then one copy into rows
+    columns = np.empty((len(bounds), len(order)), dtype=small)
+    rows = order
+    for i in range(len(bounds) - 1, -1, -1):
+        parents, entries = levels.pop()
+        columns[i] = entries[rows]
+        rows = parents[rows]
+        spend_rows(len(rows))
+    flat = columns.T.astype(np.int64, order="C")
     split = arity * dim * dim
-    mats = flat[:, :split].reshape(len(prefixes), arity, dim, dim)
+    mats = flat[:, :split].reshape(len(order), arity, dim, dim)
     consts = flat[:, split:]
     mats.flags.writeable = consts.flags.writeable = False
-    return _Candidates(tuple(w for _, w in prefixes), mats, consts)
+    return _Candidates(tuple(totals[order].tolist()), mats, consts)
 
 
 def _assignment_plan(
@@ -260,9 +291,9 @@ def search_interpretation(
     coef_max: int,
     const_max: int,
     budget: int,
-    weight_extra: Optional[int],
-    deadline: Optional[float] = None,
-) -> Optional[tuple[MatrixInterpretation, set[int]]]:
+    weight_extra: int | None,
+    deadline: float | None = None,
+) -> tuple[MatrixInterpretation, set[int]] | None:
     """Find an interpretation weakly orienting every rule and strictly
     orienting at least one strict rule.
 
@@ -360,7 +391,7 @@ def search_interpretation(
     last_sym = order[-1]
     last_depth = len(order) - 1
 
-    def _root_only(i: int) -> Optional[tuple[Fun, Fun]]:
+    def _root_only(i: int) -> tuple[Fun, Fun] | None:
         """The rule's sides when the last-assigned symbol heads both and
         occurs nowhere else; such rules admit existential elimination."""
         lhs, rhs = all_rules[i].lhs, all_rules[i].rhs
@@ -432,7 +463,7 @@ def search_interpretation(
 
     def dfs(
         target: int, depth: int, rem: int
-    ) -> Optional[tuple[MatrixInterpretation, set[int]]]:
+    ) -> tuple[MatrixInterpretation, set[int]] | None:
         nonlocal cap_cut
         if depth == len(order):
             funcs = {s: cands[s].function(chosen[s]) for s in sig}
@@ -473,16 +504,21 @@ def search_interpretation(
     # the full space needs a single sweep: at max_weight no branch is cut;
     # a capped space is deepened one total weight at a time
     caps = [max_weight] if weight_extra is None else range(suffix_min[0], max_weight + 1)
-    for cap in caps:
-        cap_cut = False
-        for target in targets:
-            found = dfs(target, 0, cap)
-            if found is not None:
-                return found
-        if not cap_cut:
-            # no branch was cut off by the cap, so the space is exhausted
-            return None
-    return None
+    try:
+        for cap in caps:
+            cap_cut = False
+            for target in targets:
+                found = dfs(target, 0, cap)
+                if found is not None:
+                    return found
+            if not cap_cut:
+                # no branch was cut off by the cap, so the space is exhausted
+                return None
+        return None
+    finally:
+        # dfs refers to itself, so these closures form a cycle that only the
+        # cyclic collector frees: release the masks now
+        mask_cache.clear()
 
 
 def has_looping_rule(rules: list[Rule]) -> bool:
@@ -492,7 +528,7 @@ def has_looping_rule(rules: list[Rule]) -> bool:
 
 
 def external_termination_check(
-    R: TRS, command: Optional[str], deadline: Optional[float] = None
+    R: TRS, command: str | None, deadline: float | None = None
 ) -> str:
     """Ask an external prover about termination of R; 'yes', 'no' or 'unknown'.
 
@@ -539,8 +575,8 @@ def prove_relative_termination(
     dim_max: int = 3,
     coef_max: int = 1,
     budget: int = DEFAULT_SEARCH_BUDGET,
-    external_command: Optional[str] = None,
-    deadline: Optional[float] = None,
+    external_command: str | None = None,
+    deadline: float | None = None,
 ) -> Verdict:
     """Termination of strict/weak by repeated rule removal.
 
@@ -645,8 +681,8 @@ def prove_termination(
     dim_max: int = 3,
     coef_max: int = 1,
     budget: int = DEFAULT_SEARCH_BUDGET,
-    external_command: Optional[str] = None,
-    deadline: Optional[float] = None,
+    external_command: str | None = None,
+    deadline: float | None = None,
 ) -> Verdict:
     """Plain termination of R: relative termination against the empty system,
     with the external prover asked about the rules left after removal."""

@@ -9,30 +9,46 @@ kept in the traces only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
 from .errors import Meter
 from .rewriting import DEFAULT_NODE_BUDGET, TRS
-from .terms import Position, Term
+from .terms import Frozen, Position, Term
 
 Trace = tuple[tuple[Position, Term], ...]
 Seq = tuple[int, ...]
 Key = tuple[Seq, Seq]
 
+_set = object.__setattr__
 
-@dataclass(frozen=True, eq=False)
-class JoinInstance:
-    left_seq: tuple[int, ...]
-    right_seq: tuple[int, ...]
-    meet: Term
-    left_trace: Trace
-    right_trace: Trace
+
+class JoinInstance(Frozen):
+    """Join instances compare by identity."""
+
+    __slots__ = ("left_seq", "right_seq", "meet", "left_trace", "right_trace")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, left_seq: Seq, right_seq: Seq, meet: Term, left_trace: Trace,
+                 right_trace: Trace) -> None:
+        _set(self, "left_seq", left_seq)
+        _set(self, "right_seq", right_seq)
+        _set(self, "meet", meet)
+        _set(self, "left_trace", left_trace)
+        _set(self, "right_trace", right_trace)
 
     @property
     def seqs(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return self.left_seq, self.right_seq
+
+    def to_json(self) -> dict:
+        return {
+            "left_seq": list(self.left_seq),
+            "right_seq": list(self.right_seq),
+            "meet": str(self.meet),
+            "left_trace": [[list(p), str(t)] for p, t in self.left_trace],
+            "right_trace": [[list(p), str(t)] for p, t in self.right_trace],
+        }
 
 
 def _label_reachable(

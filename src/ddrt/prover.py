@@ -9,18 +9,14 @@ definitive answer.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
 from functools import cached_property
-from typing import Callable, Iterator
 
-from . import joinability, rule_labeling
 from .critical_pairs import CriticalPair, cps, critical_pairs
 from .errors import ResourceLimitError, Timeout
-from .interpretations import (DEFAULT_SEARCH_BUDGET, RelTermProblem,
-                              prove_relative_termination, prove_termination)
-from .joinability import JoinInstance
 from .rewriting import (
     DEFAULT_NODE_BUDGET,
+    DEFAULT_SEARCH_BUDGET,
     TRS,
     closed_reducts,
     fresh_trs,
@@ -28,25 +24,41 @@ from .rewriting import (
     normalize,
     split_duplicating,
 )
+from .terms import Record
 from .verdict import MAYBE, Verdict, maybe, no, yes
+
+# The join search, the rule-labeling constraint and the interpretation search
+# live in `joinability`, `rule_labeling` and `interpretations`. Each is
+# imported by the criteria that use it, on first use, and called through its
+# module attribute, so that wrappers installed on the module see the calls.
 
 DEFAULT_CRITERIA = ("nc", "ortho", "rl", "kb", "dd1", "dd2", "dd2x")
 
 
-@dataclass
-class Config:
-    k: int = 4
-    dim_max: int = 3
-    coef_max: int = 1
-    node_budget: int = DEFAULT_NODE_BUDGET
-    search_budget: int = DEFAULT_SEARCH_BUDGET
-    nc_budget: int = 2_000
-    instance_cap: int = 64
-    external_prover: str | None = None
-    timeout: float = 60.0
-    criteria: tuple[str, ...] = DEFAULT_CRITERIA
+class Config(Record):
+    """The prover's knobs: the CLI's flags, whose defaults these are, and the
+    budgets, which have no flag. Checked at construction."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ("k", "dim_max", "coef_max", "node_budget", "search_budget", "nc_budget",
+                 "instance_cap", "external_prover", "timeout", "criteria")
+    __hash__ = None
+
+    def __init__(
+        self, *, k: int = 4, dim_max: int = 3, coef_max: int = 1,
+        node_budget: int = DEFAULT_NODE_BUDGET, search_budget: int = DEFAULT_SEARCH_BUDGET,
+        nc_budget: int = 2_000, instance_cap: int = 64, external_prover: str | None = None,
+        timeout: float = 60.0, criteria: tuple[str, ...] = DEFAULT_CRITERIA,
+    ) -> None:
+        self.k = k
+        self.dim_max = dim_max
+        self.coef_max = coef_max
+        self.node_budget = node_budget
+        self.search_budget = search_budget
+        self.nc_budget = nc_budget
+        self.instance_cap = instance_cap
+        self.external_prover = external_prover
+        self.timeout = timeout
+        self.criteria = criteria
         if self.k < 0:
             raise ValueError("join bound k must be nonnegative")
         if not self.timeout > 0:  # also rejects NaN
@@ -78,10 +90,11 @@ class Analysis:
         """The minimal join instances within k steps of each critical pair,
         at most instance_cap of them, in pair order. Each pair is searched
         on first use; a search that raises is not kept."""
+        from . import joinability
+
         cfg = self.cfg
         for i, cp in enumerate(self.pairs):
             if i == len(self._instances):
-                # through the module, so that wrappers installed on it see the call
                 self._instances.append(joinability.join_instances(
                     self.R, cp.left, cp.right, cfg.k, cfg.node_budget,
                     self.deadline)[:cfg.instance_cap])
@@ -113,13 +126,18 @@ class Analysis:
         """CPS'(R), the steps of the nontrivial critical pairs."""
         return cps(self.pairs, exclude_trivial=True)
 
-    def terminates(self, problem: TRS | RelTermProblem) -> Verdict:
-        """Termination of a system, or relative termination of a problem,
-        within the configured bounds and the time left."""
+    def terminates(self, strict: TRS, weak: TRS | None = None) -> Verdict:
+        """Termination of strict, relative to weak unless weak is None, within
+        the configured bounds and the time left."""
+        from . import interpretations
+
         cfg = self.cfg
-        search = prove_termination if isinstance(problem, TRS) else prove_relative_termination
-        return search(problem, cfg.dim_max, cfg.coef_max, cfg.search_budget,
-                      cfg.external_prover, self.deadline)
+        bounds = (cfg.dim_max, cfg.coef_max, cfg.search_budget, cfg.external_prover,
+                  self.deadline)
+        if weak is None:
+            return interpretations.prove_termination(strict, *bounds)
+        problem = interpretations.RelTermProblem(strict, weak)
+        return interpretations.prove_relative_termination(problem, *bounds)
 
 
 def check_orthogonal(a: Analysis) -> Verdict:
@@ -134,6 +152,8 @@ def check_rule_labeling(a: Analysis) -> Verdict:
     """Confluence of a linear TRS via a satisfiable rule-labeling constraint."""
     if not a.R.is_linear():
         return maybe("rule-labeling", reason="not linear")
+    from . import rule_labeling
+
     try:
         instances = list(a.instances())
         formula = rule_labeling.build_rl(a.pairs, instances)
@@ -181,16 +201,17 @@ def check_knuth_bendix(a: Analysis) -> Verdict:
 
 
 def _check_dd(
-    a: Analysis, name: str, relative: Callable[[], tuple[RelTermProblem, dict]]
+    a: Analysis, name: str, relative: Callable[[], tuple[TRS, TRS, dict]]
 ) -> Verdict:
-    """Left-linear, joinable critical pairs, and the relative problem that
-    `relative` builds terminating; it also gives details for a YES."""
+    """Left-linear, joinable critical pairs, and the strict system that
+    `relative` builds terminating relative to its weak one; it also gives
+    details for a YES."""
     if not a.R.is_left_linear():
         return maybe(name, reason="not left-linear")
     if isinstance(a.joins, str):
         return maybe(name, reason=a.joins)
-    problem, shown = relative()
-    rel = a.terminates(problem)
+    strict, weak, shown = relative()
+    rel = a.terminates(strict, weak)
     if not rel.is_yes:
         why = "timeout" if rel.details["reason"] == "timeout" else "relative termination not shown"
         return maybe(name, reason=why, relative=rel.details)
@@ -201,9 +222,9 @@ def check_dd_l1(a: Analysis) -> Verdict:
     """Critical pair steps plus the duplicating rules relatively terminating
     against the non-duplicating ones."""
 
-    def relative() -> tuple[RelTermProblem, dict]:
+    def relative() -> tuple[TRS, TRS, dict]:
         dup, nondup = split_duplicating(a.R)
-        return RelTermProblem(fresh_trs(list(a.steps.rules) + list(dup.rules)), nondup), {}
+        return fresh_trs(list(a.steps.rules) + list(dup.rules)), nondup, {}
 
     return _check_dd(a, "dd-duplication-split", relative)
 
@@ -212,9 +233,9 @@ def check_dd_l2(a: Analysis, exclude_trivial: bool = False) -> Verdict:
     """Critical pair steps, or with exclude_trivial those of the nontrivial
     pairs, relatively terminating against the whole system."""
 
-    def relative() -> tuple[RelTermProblem, dict]:
+    def relative() -> tuple[TRS, TRS, dict]:
         steps = a.nontrivial_steps if exclude_trivial else a.steps
-        return RelTermProblem(steps, a.R), {"cps": steps}
+        return steps, a.R, {"cps": steps}
 
     return _check_dd(a, "dd-relative" + ("-nontrivial" if exclude_trivial else ""), relative)
 

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import Meter, ResourceLimitError
 from .terms import (
+    Frozen,
     Fun,
     Position,
     Subst,
@@ -21,48 +21,56 @@ from .terms import (
     variables,
 )
 
+_set = object.__setattr__
+
 DEFAULT_NODE_BUDGET = 100_000
+DEFAULT_SEARCH_BUDGET = 400_000  # nodes of one interpretation search
 
 
-@dataclass(frozen=True)
-class Rule:
-    index: int
-    lhs: Term
-    rhs: Term
+class Rule(Frozen):
+    __slots__ = ("index", "lhs", "rhs")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.lhs, Var):
-            raise ValueError(f"rule {self.index}: left-hand side is the variable {self.lhs}")
-        extra = variables(self.rhs) - variables(self.lhs)
+    def __init__(self, index: int, lhs: Term, rhs: Term) -> None:
+        if isinstance(lhs, Var):
+            raise ValueError(f"rule {index}: left-hand side is the variable {lhs}")
+        extra = variables(rhs) - variables(lhs)
         if extra:
-            raise ValueError(
-                f"rule {self.index}: extra variables {sorted(extra)} in right-hand side"
-            )
+            raise ValueError(f"rule {index}: extra variables {sorted(extra)} in right-hand side")
+        _set(self, "index", index)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
     def __str__(self) -> str:
         return f"{self.lhs} -> {self.rhs}"
 
 
-@dataclass(frozen=True)
-class RuleClass:
-    left_linear: bool
-    right_linear: bool
-    duplicating: bool
+class RuleClass(Frozen):
+    __slots__ = ("left_linear", "right_linear", "duplicating")
+
+    def __init__(self, left_linear: bool, right_linear: bool, duplicating: bool) -> None:
+        _set(self, "left_linear", left_linear)
+        _set(self, "right_linear", right_linear)
+        _set(self, "duplicating", duplicating)
 
     @property
     def linear(self) -> bool:
         return self.left_linear and self.right_linear
 
 
-@dataclass(frozen=True)
-class TRS:
-    rules: tuple[Rule, ...]
+class TRS(Frozen):
+    """A rewrite system. Its `__dict__` holds the memos of the cached properties."""
 
-    def __post_init__(self) -> None:
-        indices = [r.index for r in self.rules]
+    __slots__ = ("rules", "__dict__")
+
+    def __init__(self, rules: tuple[Rule, ...]) -> None:
+        indices = [r.index for r in rules]
         if len(set(indices)) != len(indices):
             raise ValueError("duplicate rule indices")
+        _set(self, "rules", rules)
         self.signature  # force the arity-consistency check
+
+    def _key(self) -> tuple:
+        return (self.rules,)
 
     @cached_property
     def signature(self) -> dict[str, int]:
@@ -115,6 +123,9 @@ class TRS:
 
     def is_linear(self) -> bool:
         return all(classify(r).linear for r in self.rules)
+
+    def to_json(self) -> list[str]:
+        return [str(r) for r in self.rules]
 
 
 def trs(pairs: list[tuple[Term, Term]]) -> TRS:

@@ -8,47 +8,57 @@ the two rule indices coincide or ``a > b`` holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from collections.abc import Iterable
 
 from .critical_pairs import CriticalPair
 from .errors import Meter
 from .joinability import JoinInstance
+from .terms import Frozen
+
+_set = object.__setattr__
 
 
-class Formula:
+class Formula(Frozen):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class And(Formula):
-    parts: tuple[Formula, ...]
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[Formula, ...]) -> None:
+        _set(self, "parts", parts)
 
     def __str__(self) -> str:
         return "(" + " & ".join(map(str, self.parts)) + ")" if self.parts else "T"
 
 
-@dataclass(frozen=True, slots=True)
 class Or(Formula):
-    parts: tuple[Formula, ...]
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[Formula, ...]) -> None:
+        _set(self, "parts", parts)
 
     def __str__(self) -> str:
         return "(" + " | ".join(map(str, self.parts)) + ")" if self.parts else "F"
 
 
-@dataclass(frozen=True, slots=True)
 class Gt(Formula):
-    a: int
-    b: int
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int) -> None:
+        _set(self, "a", a)
+        _set(self, "b", b)
 
     def __str__(self) -> str:
         return f"{self.a}>{self.b}"
 
 
-@dataclass(frozen=True, slots=True)
 class Geq(Formula):
-    a: int
-    b: int
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int) -> None:
+        _set(self, "a", a)
+        _set(self, "b", b)
 
     def __str__(self) -> str:
         return f"{self.a}>={self.b}"
@@ -80,7 +90,7 @@ def disj(parts: Iterable[Formula]) -> Formula:
 LevelMap = dict[int, int]
 
 
-def evaluate(f: Formula, levels: LevelMap) -> Optional[bool]:
+def evaluate(f: Formula, levels: LevelMap) -> bool | None:
     """f under a level map, in three-valued (Kleene) logic.
 
     An atom is decided only once both of its indices have a level; None
@@ -92,7 +102,7 @@ def evaluate(f: Formula, levels: LevelMap) -> Optional[bool]:
             return None
         return a > b or (isinstance(f, Geq) and f.a == f.b)
     if isinstance(f, And):
-        value: Optional[bool] = True
+        value: bool | None = True
         for p in f.parts:
             v = evaluate(p, levels)
             if v is False:
@@ -166,8 +176,8 @@ def build_rl(pairs: list[CriticalPair], instances: list[list[JoinInstance]]) -> 
 
 
 def solve_precedence(
-    f: Formula, n_rules: int, deadline: Optional[float] = None
-) -> Optional[LevelMap]:
+    f: Formula, n_rules: int, deadline: float | None = None
+) -> LevelMap | None:
     """A level map over all rule indices satisfying f, or None if unsatisfiable.
 
     Depth-first search gives the involved indices, in increasing order, the

@@ -13,29 +13,100 @@ are built on it, so none of them recurses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from collections.abc import Iterator
 
 Position = tuple[int, ...]
 EPSILON: Position = ()
 
+_set = object.__setattr__
 
-class Term:
+
+class Record:
+    """A record of the fields named in its class's `__slots__`. Records
+    compare and hash by the tuple of their fields, as dataclasses do; a
+    mutable one sets `__hash__ = None`."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self._key()))})"
+
+
+class Frozen(Record):
+    """An immutable record: `__init__` sets each field once, through
+    `object.__setattr__`, and assignment afterwards raises. A frozen record
+    that compares by identity restores `object.__eq__` and `object.__hash__`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Term(Frozen):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Term):
-    name: str
+    __slots__ = ("name", "_hash")
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+        _set(self, "_hash", hash((name,)))
+
+    def _key(self) -> tuple:
+        return (self.name,)
+
+    def __eq__(self, other):
+        if other.__class__ is not Var:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
 class Fun(Term):
-    symbol: str
-    args: tuple[Term, ...] = ()
+    """A function symbol applied to arguments. Its hash, the hash of
+    (symbol, args), is computed once, from the arguments' own stored hashes."""
+
+    __slots__ = ("symbol", "args", "_hash")
+
+    def __init__(self, symbol: str, args: tuple[Term, ...] = ()) -> None:
+        _set(self, "symbol", symbol)
+        _set(self, "args", args)
+        _set(self, "_hash", hash((symbol, args)))
+
+    def _key(self) -> tuple:
+        return self.symbol, self.args
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Fun:
+            return NotImplemented
+        return (self._hash == other._hash and self.symbol == other.symbol
+                and self.args == other.args)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         # an explicit stack: proof terms may nest deeper than the recursion limit
@@ -100,7 +171,7 @@ def apply_subst(sigma: Subst, t: Term) -> Term:
     return Fun(t.symbol, tuple(apply_subst(sigma, a) for a in t.args))
 
 
-def match(pattern: Term, subject: Term) -> Optional[Subst]:
+def match(pattern: Term, subject: Term) -> Subst | None:
     """Substitution sigma with pattern*sigma == subject, or None."""
     sigma: Subst = {}
     stack = [(pattern, subject)]
@@ -119,7 +190,7 @@ def match(pattern: Term, subject: Term) -> Optional[Subst]:
     return {x: s for x, s in sigma.items() if not (isinstance(s, Var) and s.name == x)}
 
 
-def unify(s: Term, t: Term) -> Optional[Subst]:
+def unify(s: Term, t: Term) -> Subst | None:
     """Idempotent most general unifier of s and t (occurs check on), or None."""
     sigma: Subst = {}
     queue = [(s, t)]
@@ -142,4 +213,3 @@ def unify(s: Term, t: Term) -> Optional[Subst]:
         else:
             return None
     return sigma
-

@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from .terms import Record
 
 YES = "YES"
 NO = "NO"
 MAYBE = "MAYBE"
 
 
-@dataclass
-class Verdict:
-    kind: str  # YES | NO | MAYBE
-    criterion: str
-    details: dict[str, Any] = field(default_factory=dict)
+class Verdict(Record):
+    __slots__ = ("kind", "criterion", "details")
+    __hash__ = None
+
+    def __init__(self, kind: str, criterion: str, details: dict | None = None) -> None:
+        self.kind = kind  # YES | NO | MAYBE
+        self.criterion = criterion
+        self.details = {} if details is None else details
 
     @property
     def is_yes(self) -> bool:
@@ -25,13 +27,13 @@ class Verdict:
         return self.kind == NO
 
 
-def yes(criterion: str, **details: Any) -> Verdict:
+def yes(criterion: str, **details: object) -> Verdict:
     return Verdict(YES, criterion, details)
 
 
-def no(criterion: str, **details: Any) -> Verdict:
+def no(criterion: str, **details: object) -> Verdict:
     return Verdict(NO, criterion, details)
 
 
-def maybe(criterion: str, **details: Any) -> Verdict:
+def maybe(criterion: str, **details: object) -> Verdict:
     return Verdict(MAYBE, criterion, details)

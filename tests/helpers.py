@@ -338,6 +338,33 @@ def candidates_by_filter(
     return out
 
 
+def candidates_by_prefixes(
+    arity: int, dim: int, coef_max: int, const_max: int, weight_cap: int | None
+) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The weights and flat entries of the interpretation candidates of one
+    symbol, built as `interpretations._candidates` once built them: every
+    prefix under the cap is extended by tuple concatenation, one entry at a
+    time, and the rows are sorted stably by weight. Time grows with about the
+    square of the number of entries."""
+    matrix = [(1, coef_max)] + [(0, coef_max)] * (dim * dim - 1)
+    bounds = matrix * arity + [(0, const_max)] * dim
+    if weight_cap is None:
+        weight_cap = sum(hi for _, hi in bounds)
+    floor = [0] * (len(bounds) + 1)
+    for i in range(len(bounds) - 1, -1, -1):
+        floor[i] = floor[i + 1] + bounds[i][0]
+    prefixes: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    for i, (lo, hi) in enumerate(bounds):
+        room = weight_cap - floor[i + 1]
+        prefixes = [
+            (prefix + (x,), total + x)
+            for prefix, total in prefixes
+            for x in range(lo, min(hi, room - total) + 1)
+        ]
+    prefixes.sort(key=lambda c: c[1])
+    return [w for _, w in prefixes], [v for v, _ in prefixes]
+
+
 def variants(r1: Rule, r2: Rule) -> bool:
     """r1 and r2 are variants iff each rule matches the other as a whole."""
     pack1 = Fun("", (r1.lhs, r1.rhs))

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from ddrt import Config, cli
-from ddrt.cli import run
+from ddrt.cli import CRITERION_CHOICES, run
 from ddrt.tpdb import ParseError, format_trs, parse_trs
 from conftest import DATA_DIR, data_path, term
 
@@ -204,8 +206,8 @@ class TestRunSingle:
         out = _python(["-m", "ddrt.cli", "--proof", str(path)]).stdout
         first, trace = out.split("\n", 1)
         assert first == json.loads(trace)["verdict"]
-        # deeper terms overflow the recursive term hash inside the criteria
-        assert first == "NO" or depth > 300
+        # each term's hash is computed once, from its arguments' stored hashes
+        assert first == "NO"
 
     def test_directory_as_file(self, tmp_path, capsys):
         assert run([str(tmp_path)]) == 2
@@ -245,10 +247,13 @@ def test_proof_matches_golden_output(golden, capsys):
 class TestStartup:
     """A fresh process pays only for the layers its problem uses."""
 
-    HEAVY = ("numpy", "concurrent.futures")
+    HEAVY = ("numpy", "concurrent.futures", "dataclasses", "ddrt.interpretations",
+             "ddrt.joinability", "ddrt.rule_labeling")
 
-    def _loaded_after(self, call: str) -> tuple[str, list[str]]:
-        """The output of call, and the heavy modules loaded after it.
+    def _loaded_after(self, call: str, flags: tuple[str, ...] = (),
+                      watched: tuple[str, ...] = HEAVY) -> tuple[str, list[str]]:
+        """The output of call, run after `import ddrt.cli` by the interpreter
+        with flags, and the watched modules loaded by then.
 
         The module list is printed as JSON on the last line of stdout, so
         warnings on stderr cannot disturb it.
@@ -256,13 +261,17 @@ class TestStartup:
         code = (
             "import json, sys, ddrt.cli\n"
             f"{call}\n"
-            f"print(json.dumps([m for m in {self.HEAVY!r} if m in sys.modules]))"
+            f"print(json.dumps([m for m in {watched!r} if m in sys.modules]))"
         )
-        *out, loaded = _python(["-c", code]).stdout.splitlines()
+        *out, loaded = _python([*flags, "-c", code]).stdout.splitlines()
         return "\n".join(out), json.loads(loaded)
 
     def test_import_loads_nothing_heavy(self):
         assert self._loaded_after("pass") == ("", [])
+
+    def test_import_without_site_loads_no_typing(self):
+        # without -S, a .pth file of the environment may load typing first
+        assert self._loaded_after("pass", ("-S",), self.HEAVY + ("typing",)) == ("", [])
 
     def test_orthogonal_proof_loads_nothing_heavy(self):
         argv = ["--proof", data_path("ortho.trs")]
@@ -270,11 +279,41 @@ class TestStartup:
         assert out.splitlines()[0] == "YES"
         assert loaded == []
 
+    def test_rule_labeling_loads_its_layers_only(self):
+        argv = ["--criterion", "rl", "--proof", data_path("stream.trs")]
+        out, loaded = self._loaded_after(f"ddrt.cli.run({argv!r})")
+        assert out.splitlines()[0] == "YES"
+        assert loaded == ["ddrt.joinability", "ddrt.rule_labeling"]
+
     def test_interpretation_search_loads_numpy(self):
         argv = ["--criterion", "kb", "--proof", data_path("diamond.trs")]
         out, loaded = self._loaded_after(f"ddrt.cli.run({argv!r})")
         assert out.splitlines()[0] == "YES"
-        assert "numpy" in loaded
+        assert "numpy" in loaded and "ddrt.interpretations" in loaded
+        assert "dataclasses" not in loaded
+
+
+class TestPackageNames:
+    def test_star_import_binds_every_public_name(self):
+        code = ("from ddrt import *\nimport ddrt\n"
+                "print(all(globals()[n] is getattr(ddrt, n) for n in ddrt.__all__))")
+        assert _python(["-c", code]).stdout == "True\n"
+
+    def test_every_public_name_is_its_modules_attribute(self):
+        import ddrt
+        import ddrt.cli  # loads the submodule critical_pairs as well
+
+        for name in ddrt.__all__:
+            value = getattr(ddrt, name)
+            assert getattr(sys.modules[value.__module__], name) is value, name
+        # the function, not the submodule of the same name
+        assert ddrt.critical_pairs is sys.modules["ddrt.critical_pairs"].critical_pairs
+
+    def test_unknown_name_raises_attribute_error(self):
+        import ddrt
+
+        with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+            ddrt.nothing
 
 
 class TestRunBatch:
@@ -370,3 +409,36 @@ class TestOutOfMemory:
 def test_flag_defaults_are_the_config_defaults(monkeypatch):
     monkeypatch.delenv("DDRT_EXTERNAL_PROVER", raising=False)
     assert cli._config_from(cli.build_parser().parse_args(["f.trs"])) == Config()
+
+
+# what a record's default repr would print into a proof in place of its text
+_REPRS = re.compile(r"\b(Var|Fun|Rule|RuleClass|TRS|Overlap|CriticalPair|JoinInstance|And|Or|Gt|"
+                    r"Geq|MatrixInterpretation|LinearForm|RelTermProblem|Verdict|Config)\(|"
+                    r" object at 0x")
+
+
+def _corpus_module():
+    spec = importlib.util.spec_from_file_location(
+        "corpus", Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return corpus
+
+
+@pytest.mark.parametrize("criterion", CRITERION_CHOICES)
+def test_no_proof_of_the_data_files_prints_a_repr(criterion, capsys):
+    for path in sorted(DATA_DIR.glob("*.trs")):
+        assert run(["--criterion", criterion, "--proof", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert not _REPRS.search(out), (path.name, _REPRS.search(out).group())
+
+
+def test_no_proof_of_the_seed_1_corpora_prints_a_repr(tmp_path, capsys):
+    corpus = _corpus_module()
+    for workload in corpus.WORKLOADS:
+        for item in corpus.build(workload, 1, tmp_path / workload):
+            argv = ["--criterion", item["criterion"], "--proof",
+                    str(tmp_path / workload / item["file"])]
+            assert run(argv) == 0
+            out = capsys.readouterr().out
+            assert not _REPRS.search(out), (workload, item["id"], _REPRS.search(out).group())
