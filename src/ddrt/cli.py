@@ -9,10 +9,11 @@ with all terms and rules rendered as strings.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections import Counter
+from functools import cache
+from json.encoder import encode_basestring_ascii as quote
 from pathlib import Path
 
 from .prover import Config, DEFAULT_CRITERIA, prove
@@ -20,31 +21,97 @@ from .tpdb import ParseError, parse_trs
 from .verdict import Verdict
 
 CRITERION_CHOICES = ("auto",) + DEFAULT_CRITERIA
+_INF = float("inf")
 
 
-def _jsonify(obj):
-    """Proof details as JSON values. Systems, overlaps, critical pairs, join
-    instances and interpretations render themselves with `to_json`, so that
-    printing a proof loads no module its criterion did not; terms, rules and
-    formulas print as their text."""
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(x) for x in obj]
-    if isinstance(obj, (set, frozenset)):
-        return sorted(_jsonify(x) for x in obj)
-    to_json = getattr(obj, "to_json", None)
-    return str(obj) if to_json is None else to_json()
+def _scalar(x: bool | int | float | str | None) -> str:
+    """A JSON scalar as `json` writes it."""
+    if isinstance(x, str):
+        return quote(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
 
 
 def _trace(v: Verdict) -> str:
-    return json.dumps(
-        {"verdict": v.kind, "criterion": v.criterion, "details": _jsonify(v.details)},
-        indent=2,
-        sort_keys=True,
-    )
+    """The proof trace: the bytes `json.dumps(..., indent=2, sort_keys=True)`
+    writes for {"verdict", "criterion", "details"}, in one walk.
+
+    Dict keys print as `str(k)`, sorted; tuples print as lists and sets as
+    sorted lists. Systems, overlaps, critical pairs, join instances and
+    interpretations render themselves with `to_json`, as JSON values with
+    string keys, so that printing a proof loads no module its criterion did
+    not. Terms, rules and formulas print as their text.
+    """
+    parts: list[str] = []
+    append, extend = parts.append, parts.extend
+    newlines = ["\n"]  # "\n" and the indent of each level
+
+    def indent(level: int) -> str:
+        if len(newlines) == level:
+            newlines.append("\n" + "  " * level)
+        return newlines[level]
+
+    def plain(obj):
+        # a set element as a JSON value, so that a set sorts as its values
+        if obj is None or isinstance(obj, (bool, int, float, str)):
+            return obj
+        if isinstance(obj, tuple):
+            return [plain(x) for x in obj]
+        if isinstance(obj, frozenset):
+            return sorted(plain(x) for x in obj)
+        to_json = getattr(obj, "to_json", None)
+        return str(obj) if to_json is None else to_json()
+
+    def write(obj, level: int) -> None:
+        if obj is None or isinstance(obj, (bool, int, float, str)):
+            append(_scalar(obj))
+        elif isinstance(obj, dict):
+            if not obj:
+                append("{}")
+                return
+            items = {str(k): x for k, x in obj.items()}
+            inner = indent(level + 1)
+            sep = "{"
+            for k in sorted(items):
+                extend((sep, inner, quote(k), ": "))
+                write(items[k], level + 1)
+                sep = ","
+            extend((newlines[level], "}"))
+        elif isinstance(obj, (list, tuple)):
+            if not obj:
+                append("[]")
+                return
+            inner = indent(level + 1)
+            sep = "["
+            for x in obj:
+                extend((sep, inner))
+                write(x, level + 1)
+                sep = ","
+            extend((newlines[level], "]"))
+        elif isinstance(obj, (set, frozenset)):
+            write(sorted(plain(x) for x in obj), level)
+        else:
+            to_json = getattr(obj, "to_json", None)
+            if to_json is None:
+                append(quote(str(obj)))
+            else:
+                write(to_json(), level)
+
+    write({"verdict": v.kind, "criterion": v.criterion, "details": v.details}, 0)
+    return "".join(parts)
 
 
 def _config_from(args: argparse.Namespace) -> Config:
@@ -122,7 +189,9 @@ def _run_batch(directory: str, cfg: Config) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: `parse_args` keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="ddrt",
         description="Confluence prover for first-order term rewrite systems "

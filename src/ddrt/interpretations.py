@@ -11,12 +11,12 @@ entrywise, strictly when the first constant component decreases.
 from __future__ import annotations
 
 import time
-from functools import wraps
+from functools import cache, wraps
 from itertools import product
 
 from .errors import Meter, ResourceLimitError, Timeout
 from .rewriting import DEFAULT_SEARCH_BUDGET, TRS, Rule, fresh_trs, pumps
-from .terms import Frozen, Fun, Term, Var, iter_positions, match
+from .terms import Frozen, Fun, Term, Var, match, subterms
 from .verdict import Verdict, maybe, yes
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -137,10 +137,10 @@ def _signature(rules: list[Rule]) -> tuple[dict[str, int], list[set[str]]]:
     for r in rules:
         symbols: set[str] = set()
         for t in (r.lhs, r.rhs):
-            for _, s in iter_positions(t):
-                if isinstance(s, Fun):
-                    sig[s.symbol] = len(s.args)
-                    symbols.add(s.symbol)
+            for u in subterms(t):
+                if isinstance(u, Fun):
+                    sig[u.symbol] = len(u.args)
+                    symbols.add(u.symbol)
         rule_symbols.append(symbols)
     return sig, rule_symbols
 
@@ -247,6 +247,24 @@ def _candidates(arity: int, dim: int, coef_max: int, const_max: int,
     return _Candidates(tuple(totals[order].tolist()), mats, consts)
 
 
+@cache
+def _row0_choices(arity: int, dim: int, coef_max: int,
+                  row_cap: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The row-0 choices for the argument matrices of a symbol of `arity`
+    (first entry at least 1) whose entries sum to at most row_cap, one row
+    per argument, cached by shape. The rows are read-only, since every
+    search shares them."""
+    import numpy as np
+
+    rows = [np.array((first,) + rest, dtype=np.int64)
+            for first in range(1, coef_max + 1)
+            for rest in product(range(coef_max + 1), repeat=dim - 1)]
+    for r in rows:
+        r.flags.writeable = False
+    return tuple(choice for choice in product(rows, repeat=arity)
+                 if sum(int(r.sum()) for r in choice) <= row_cap)
+
+
 def _assignment_plan(
     sig: dict[str, int],
     rule_symbols: list[set[str]],
@@ -329,11 +347,18 @@ def search_interpretation(
     order, completes_at, rules_at_depth = _assignment_plan(
         sig, rule_symbols, {s: len(cands[s].weights) for s in sig}
     )
+    # the masks of rule i batch the symbol that completes it; its other
+    # symbols, sorted, key the assignments the masks depend on
+    other_syms = [sorted(symbols - {order[d]})
+                  for symbols, d in zip(rule_symbols, completes_at)]
     suffix_min = [0] * (len(order) + 1)
     for d in range(len(order) - 1, -1, -1):
         suffix_min[d] = suffix_min[d + 1] + cands[order[d]].weights[0]
 
     chosen: dict[str, int] = {}  # symbol -> candidate index
+    # the form of every variable: shared, so nothing may write to it
+    eye, zero = np.eye(dim, dtype=np.int64), np.zeros(dim, dtype=np.int64)
+    eye.flags.writeable = zero.flags.writeable = False
     spend = Meter("interpretation search", "nodes", budget, deadline).spend
     mask_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -341,7 +366,7 @@ def search_interpretation(
         """Linear form of t where the batched symbol ranges over all its
         candidates; arrays carry a leading batch axis wherever it occurs."""
         if isinstance(t, Var):
-            return {t.name: np.eye(dim, dtype=np.int64)}, np.zeros(dim, dtype=np.int64)
+            return {t.name: eye}, zero
         cand = cands[t.symbol]
         if t.symbol == batched:
             m, const = cand.mats, cand.consts
@@ -358,16 +383,10 @@ def search_interpretation(
                 coeffs[x] = coeffs[x] + p if x in coeffs else p
         return coeffs, const
 
-    other_syms = {
-        (i, s): sorted(rule_symbols[i] - {s})
-        for i in range(len(all_rules))
-        for s in rule_symbols[i]
-    }
-
     def rule_masks(i: int, batched: str) -> tuple[np.ndarray, np.ndarray]:
         """Per-candidate weak/strict orientation masks for rule i, memoized on
         the assignments of the rule's other symbols."""
-        key = (i, batched, tuple(chosen[s] for s in other_syms[i, batched]))
+        key = (i, batched, tuple(chosen[s] for s in other_syms[i]))
         hit = mask_cache.get(key)
         if hit is not None:
             return hit
@@ -400,7 +419,7 @@ def search_interpretation(
         if not (isinstance(rhs, Fun) and rhs.symbol == last_sym):
             return None
         for t in (*lhs.args, *rhs.args):
-            for _, s in iter_positions(t):
+            for s in subterms(t):
                 if isinstance(s, Fun) and s.symbol == last_sym:
                     return None
         return lhs, rhs
@@ -411,20 +430,7 @@ def search_interpretation(
         arity_last * dim * coef_max if weight_extra is None
         else arity_last + weight_extra
     )
-    # row-0 choices for the last symbol's argument matrices (first entry >= 1,
-    # constant row cancels on both sides)
-    row0_choices = [
-        rows
-        for rows in product(
-            [
-                np.array((first,) + rest, dtype=np.int64)
-                for first in range(1, coef_max + 1)
-                for rest in product(range(coef_max + 1), repeat=dim - 1)
-            ],
-            repeat=arity_last,
-        )
-        if sum(int(r.sum()) for r in rows) <= row_cap
-    ]
+    row0_choices = _row0_choices(arity_last, dim, coef_max, row_cap)
 
     def lookahead_mask(i: int, batched: str, want_strict: bool) -> np.ndarray:
         """Over the batched symbol's candidates: can ANY candidate for the

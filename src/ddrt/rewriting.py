@@ -17,6 +17,7 @@ from .terms import (
     iter_positions,
     match,
     replace_at,
+    subterms,
     variable_occurrences,
     variables,
 )
@@ -77,7 +78,7 @@ class TRS(Frozen):
         sig: dict[str, int] = {}
         for r in self.rules:
             for t in (r.lhs, r.rhs):
-                for _, s in iter_positions(t):
+                for s in subterms(t):
                     if isinstance(s, Fun):
                         arity = sig.setdefault(s.symbol, len(s.args))
                         if arity != len(s.args):

@@ -4,11 +4,12 @@ Terms are immutable and hashable. Positions are tuples of 1-based argument
 indices; the empty tuple addresses the root. Substitutions are plain dicts
 from variable name to term and never contain identity bindings.
 
-`iter_positions` is the one walk over a term. It yields positions in
-lexicographic order (preorder: a position before its extensions, and left
-arguments before right ones), which is the order in which the prover visits
-redexes. `variables`, `variable_occurrences` and the occurs check of `unify`
-are built on it, so none of them recurses.
+`iter_positions` walks a term with its positions, in lexicographic order
+(preorder: a position before its extensions, and left arguments before
+right ones), which is the order in which the prover visits redexes.
+`subterms` is the same walk without the positions, whose tuples grow with
+the depth; `variables`, `variable_occurrences` and the occurs check of
+`unify` are built on it, so none of them recurses.
 """
 
 from __future__ import annotations
@@ -143,9 +144,19 @@ def iter_positions(t: Term) -> Iterator[tuple[Position, Term]]:
                 stack.append((p + (i,), s.args[i - 1]))
 
 
+def subterms(t: Term) -> Iterator[Term]:
+    """The subterms of t in the order of `iter_positions`."""
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        yield s
+        if isinstance(s, Fun):
+            stack += reversed(s.args)
+
+
 def variable_occurrences(t: Term) -> list[str]:
     """Variable names in left-to-right order, with repetitions."""
-    return [s.name for _, s in iter_positions(t) if isinstance(s, Var)]
+    return [s.name for s in subterms(t) if isinstance(s, Var)]
 
 
 def variables(t: Term) -> set[str]:
@@ -203,7 +214,7 @@ def unify(s: Term, t: Term) -> Subst | None:
         if isinstance(a, Fun) and isinstance(b, Var):
             a, b = b, a
         if isinstance(a, Var):
-            if any(u == a for _, u in iter_positions(b)):
+            if any(u == a for u in subterms(b)):
                 return None
             binding = {a.name: b}
             sigma = {x: apply_subst(binding, u) for x, u in sigma.items()}

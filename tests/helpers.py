@@ -7,6 +7,7 @@ that a passing replay actually certifies a verdict.
 
 from __future__ import annotations
 
+import json
 import random
 from itertools import product
 
@@ -37,6 +38,31 @@ from ddrt.terms import (
     unify,
     variables,
 )
+
+
+def _jsonify(obj):
+    """Proof details as JSON values: dict keys as `str(k)`, tuples as lists,
+    sets as sorted lists, and other objects through `to_json()` or `str()`."""
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    if isinstance(obj, dict):
+        return {str(k): _jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonify(x) for x in obj]
+    if isinstance(obj, (set, frozenset)):
+        return sorted(_jsonify(x) for x in obj)
+    to_json = getattr(obj, "to_json", None)
+    return str(obj) if to_json is None else to_json()
+
+
+def trace_by_json(kind: str, criterion: str, details: dict) -> str:
+    """The proof trace of a verdict as `json.dumps` writes it: the oracle
+    of the CLI's own writer."""
+    return json.dumps(
+        {"verdict": kind, "criterion": criterion, "details": _jsonify(details)},
+        indent=2,
+        sort_keys=True,
+    )
 
 
 def eval_formula(f: Formula, levels: dict[int, int]) -> bool:

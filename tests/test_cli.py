@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -15,8 +16,11 @@ import pytest
 
 from ddrt import Config, cli
 from ddrt.cli import CRITERION_CHOICES, run
+from ddrt.terms import Fun, Var
 from ddrt.tpdb import ParseError, format_trs, parse_trs
+from ddrt.verdict import Verdict
 from conftest import DATA_DIR, data_path, term
+from helpers import trace_by_json
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -425,20 +429,144 @@ def _corpus_module():
     return corpus
 
 
-@pytest.mark.parametrize("criterion", CRITERION_CHOICES)
-def test_no_proof_of_the_data_files_prints_a_repr(criterion, capsys):
-    for path in sorted(DATA_DIR.glob("*.trs")):
-        assert run(["--criterion", criterion, "--proof", str(path)]) == 0
+@pytest.fixture
+def run_proof(monkeypatch, capsys):
+    """`run(argv)` for one proof: what it prints, checked against the proof
+    trace that `json.dumps` writes for its verdict (`helpers.trace_by_json`)."""
+    verdicts: list[Verdict] = []
+    prove_file = cli._prove_file
+
+    def keep(path: str, cfg: Config) -> Verdict:
+        verdicts.append(prove_file(path, cfg))
+        return verdicts[-1]
+
+    def proof(argv: list[str]) -> str:
+        assert run(argv) == 0
         out = capsys.readouterr().out
+        v = verdicts.pop()
+        assert out == f"{v.kind}\n{trace_by_json(v.kind, v.criterion, v.details)}\n"
+        return out
+
+    monkeypatch.setattr(cli, "_prove_file", keep)
+    return proof
+
+
+@pytest.mark.parametrize("criterion", CRITERION_CHOICES)
+def test_no_proof_of_the_data_files_prints_a_repr(criterion, run_proof):
+    for path in sorted(DATA_DIR.glob("*.trs")):
+        out = run_proof(["--criterion", criterion, "--proof", str(path)])
         assert not _REPRS.search(out), (path.name, _REPRS.search(out).group())
 
 
-def test_no_proof_of_the_seed_1_corpora_prints_a_repr(tmp_path, capsys):
+def test_no_proof_of_the_seed_1_corpora_prints_a_repr(tmp_path, run_proof):
     corpus = _corpus_module()
+    count = 0
     for workload in corpus.WORKLOADS:
         for item in corpus.build(workload, 1, tmp_path / workload):
-            argv = ["--criterion", item["criterion"], "--proof",
-                    str(tmp_path / workload / item["file"])]
-            assert run(argv) == 0
-            out = capsys.readouterr().out
+            out = run_proof(["--criterion", item["criterion"], "--proof",
+                             str(tmp_path / workload / item["file"])])
             assert not _REPRS.search(out), (workload, item["id"], _REPRS.search(out).group())
+            count += 1
+    assert count == 302
+
+
+class _Named:
+    """An object that prints as its text."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __str__(self) -> str:
+        return self.name
+
+
+class _Rendered:
+    """An object that renders itself with `to_json`."""
+
+    def __init__(self, value) -> None:
+        self.value = value
+
+    def to_json(self):
+        return {"value": self.value, "10": [self.value], "9": {}}
+
+
+# JSON values as proof details may hold them: numeric-looking keys, booleans
+# next to 0 and 1, huge ints, non-finite floats, non-ASCII and control
+# characters, empty containers, tuples, sets, and objects printed by text
+# or by `to_json`
+_KEYS = ("10", "9", "1", "", 1, 9, 10, 0, -3, True, False, None, "é", "a\x07")
+_SCALARS = (None, True, False, 0, 1, -1, 2**64, -(2**70), 0.5, -0.0, 1e300, 5e-324,
+            float("inf"), float("-inf"), float("nan"),
+            "", "\x00\x1f\"\\", "é", "\U0001f600", "\u2028")
+
+
+def _random_text(rng: random.Random) -> str:
+    return "".join(rng.choice("ab9 \x00\x07\n\t\"\\/é\u2028\U0001f600")
+                   for _ in range(rng.randrange(5)))
+
+
+def _random_value(rng: random.Random, depth: int):
+    """A random proof detail of bounded depth."""
+    kind = rng.randrange(12 if depth > 0 else 6)
+    if kind == 0:
+        return rng.choice(_SCALARS)
+    if kind == 1:
+        return rng.choice([rng.randrange(-2**80, 2**80), rng.randrange(-2, 3),
+                           rng.uniform(-1, 1) * 10.0 ** rng.randrange(-300, 300)])
+    if kind == 2:
+        return _random_text(rng)
+    if kind == 3:
+        return _Named(_random_text(rng))
+    if kind == 4:
+        return rng.choice([Var(_random_text(rng)), Fun("f", (Var(_random_text(rng)),))])
+    if kind == 5:
+        return _Rendered(rng.choice(_SCALARS))
+    width = rng.randrange(4)
+    if kind == 6:
+        return [_random_value(rng, depth - 1) for _ in range(width)]
+    if kind == 7:
+        return tuple(_random_value(rng, depth - 1) for _ in range(width))
+    if kind == 8:
+        return {rng.choice(_KEYS + (_random_text(rng),)): _random_value(rng, depth - 1)
+                for _ in range(width)}
+    if kind == 9:
+        return {rng.choice((True, False, 0, 1, -(2**70), 7)) for _ in range(width)}
+    if kind == 10:
+        return frozenset(_random_text(rng) for _ in range(width))
+    return {(rng.randrange(-2, 3), frozenset(_random_text(rng) for _ in range(width)))
+            for _ in range(width)}
+
+
+class TestProofWriter:
+    """`_trace` writes the bytes of `json.dumps(indent=2, sort_keys=True)`
+    on the details as JSON values (`helpers.trace_by_json`)."""
+
+    @staticmethod
+    def _same_as_json(v: Verdict) -> None:
+        assert cli._trace(v) == trace_by_json(v.kind, v.criterion, v.details)
+
+    def test_generated_values(self):
+        rng = random.Random(18)
+        for _ in range(500):
+            details = {rng.choice(_KEYS): _random_value(rng, 4) for _ in range(rng.randrange(6))}
+            self._same_as_json(Verdict(rng.choice(["YES", "NO", "MAYBE"]), _random_text(rng),
+                                       details))
+
+    def test_empty_and_repeated(self):
+        rule = parse_trs("(VAR x)(RULES f(x) -> g(x,x))").rules[0]
+        details = {"a": [], "b": {}, "c": (), "d": set(), "e": [rule, rule, [rule]],
+                   "f": float("nan"), "g": [float("inf"), -float("inf"), -0.0, 1e300]}
+        self._same_as_json(Verdict("YES", "x", details))
+
+
+class TestOneParser:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_a_run_leaves_no_flag_behind(self, monkeypatch, capsys):
+        monkeypatch.delenv("DDRT_EXTERNAL_PROVER", raising=False)
+        path = data_path("diamond.trs")
+        assert run(["--criterion", "kb", "--k", "2", "--proof", path]) == 0
+        capsys.readouterr()
+        assert run(["--proof", path]) == 0
+        assert capsys.readouterr().out == _python(["-m", "ddrt.cli", "--proof", path]).stdout

@@ -8,6 +8,7 @@ import random
 import stat
 import tempfile
 import time
+from itertools import product
 from math import comb
 
 import pytest
@@ -20,6 +21,7 @@ from ddrt.interpretations import (
     MatrixInterpretation,
     RelTermProblem,
     _candidates,
+    _row0_choices,
     compare_forms,
     external_termination_check,
     has_looping_rule,
@@ -151,6 +153,35 @@ class TestCandidates:
             with pytest.raises(Timeout, match="candidate build passed the deadline"):
                 _candidates(3, 6, 1, 1, 6, deadline=start + wait)
             assert time.monotonic() - start < wait + 1.0
+
+
+class TestRow0Choices:
+    @pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 2, 1, 3), (2, 3, 1, 2), (1, 2, 2, 6)],
+                             ids=str)
+    def test_every_row_choice_under_the_cap_in_product_order(self, shape):
+        arity, dim, coef_max, row_cap = shape
+        rows = [(first, *rest) for first in range(1, coef_max + 1)
+                for rest in product(range(coef_max + 1), repeat=dim - 1)]
+        expected = [choice for choice in product(rows, repeat=arity)
+                    if sum(map(sum, choice)) <= row_cap]
+        got = [tuple(tuple(r.tolist()) for r in choice) for choice in _row0_choices(*shape)]
+        assert got == expected
+
+    def test_cached_by_shape_and_read_only(self):
+        choices = _row0_choices(2, 2, 1, 3)
+        assert _row0_choices(2, 2, 1, 3) is choices
+        assert all(not r.flags.writeable for choice in choices for r in choice)
+
+
+def test_each_round_interprets_the_symbols_of_the_rules_left_only(diamond):
+    # a removed rule's symbols never reach a later round's interpretation
+    v = prove_termination(diamond)
+    assert len(v.details["chain"]) == 3
+    for entry in v.details["chain"]:
+        left = entry["strict_before"] + entry["weak_before"]
+        symbols = {u.symbol for r in left for t in (r.lhs, r.rhs)
+                   for _, u in iter_positions(t) if isinstance(u, Fun)}
+        assert set(entry["interpretation"].funcs) == symbols
 
 
 def test_ternary_duplicating_system_kb_answers_within_timeout(tmp_path, capsys):

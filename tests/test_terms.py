@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import product
 
 import pytest
 
+from ddrt.rewriting import Rule, trs
 from ddrt.terms import (
     EPSILON,
     Fun,
     Var,
     apply_subst,
+    iter_positions,
     match,
     replace_at,
+    subterms,
     unify,
     variable_occurrences,
     variables,
@@ -134,6 +138,38 @@ class TestDeepTerms:
     def test_unify_occurs_check(self):
         assert unify(Var("x"), self.deep()) is None
         assert unify(self.deep(), Var("y")) is None
+
+
+class TestPositionFreeWalks:
+    """`subterms` keeps no positions, whose tuples grow with the depth, so a
+    walk costs time linear in the size of the term."""
+
+    @staticmethod
+    def tower(depth: int, leaf):
+        t = leaf
+        for _ in range(depth):
+            t = Fun("g", (t,))
+        return t
+
+    def test_subterms_in_the_order_of_iter_positions(self):
+        rng = random.Random(5)
+        sig = [("f", 2), ("h", 3), ("g", 1), ("a", 0)]
+        for _ in range(200):
+            t = make_random_term(rng, sig, ["x", "y"], 4)
+            assert list(subterms(t)) == [s for _, s in iter_positions(t)]
+
+    def test_variables_of_a_tower_of_20000(self):
+        t = self.tower(20000, Var("x"))
+        start = time.perf_counter()
+        assert variables(t) == {"x"}
+        assert time.perf_counter() - start < 0.1
+
+    def test_a_rule_with_a_tower_of_20000_builds(self):
+        rhs = self.tower(20000, Fun("a"))
+        start = time.perf_counter()
+        rule = Rule(0, Fun("f", (Fun("a"),)), rhs)
+        assert time.perf_counter() - start < 0.2
+        assert trs([(rule.lhs, rule.rhs)]).signature == {"f": 1, "a": 0, "g": 1}
 
 
 def _random_pair(rng: random.Random):
