@@ -8,13 +8,9 @@ with all terms and rules rendered as strings.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from collections import Counter
-from functools import cache
-from json.encoder import encode_basestring_ascii as quote
-from pathlib import Path
+from _json import encode_basestring_ascii as quote  # the C quoter of `json.encoder`
 
 from .prover import Config, DEFAULT_CRITERIA, prove
 from .tpdb import ParseError, parse_trs
@@ -22,6 +18,39 @@ from .verdict import Verdict
 
 CRITERION_CHOICES = ("auto",) + DEFAULT_CRITERIA
 _INF = float("inf")
+_DEFAULTS = Config()
+
+# each flag: its converter (None for a switch) and its default; parse_args
+# stores the value under the flag's name without the dashes, "_" for "-".
+# The usage and the help below list the same flags.
+_FLAGS = {
+    "--criterion": (str, "auto"),
+    "--k": (int, _DEFAULTS.k),
+    "--timeout": (float, _DEFAULTS.timeout),
+    "--dim-max": (int, _DEFAULTS.dim_max),
+    "--coef-max": (int, _DEFAULTS.coef_max),
+    "--external-prover": (str, None),
+    "--proof": (None, False),
+    "--batch": (str, None),
+}
+_USAGE = """\
+usage: ddrt [-h] [--criterion NAME] [--k K] [--timeout SECONDS] [--dim-max N]
+            [--coef-max N] [--external-prover CMD] [--proof] [--batch DIR] [FILE ...]"""
+_HELP = """
+
+Confluence prover for first-order term rewrite systems (TPDB plain format).
+
+  FILE                   a .trs problem file
+  -h, --help             print this help and exit
+  --criterion NAME       auto to run every criterion in turn (default), or one
+                         of nc, ortho, rl, kb, dd1, dd2, dd2x
+  --k K                  join bound (default {cfg.k})
+  --timeout SECONDS      timeout per problem (default {cfg.timeout})
+  --dim-max N            maximum interpretation dimension (default {cfg.dim_max})
+  --coef-max N           maximum matrix coefficient (default {cfg.coef_max})
+  --external-prover CMD  external termination prover command (env DDRT_EXTERNAL_PROVER)
+  --proof                print a JSON proof trace after the verdict
+  --batch DIR            prove every .trs file in DIR and print summary counts"""
 
 
 def _scalar(x: bool | int | float | str | None) -> str:
@@ -114,21 +143,74 @@ def _trace(v: Verdict) -> str:
     return "".join(parts)
 
 
-def _config_from(args: argparse.Namespace) -> Config:
-    criteria = DEFAULT_CRITERIA if args.criterion == "auto" else (args.criterion,)
-    external = args.external_prover or os.environ.get("DDRT_EXTERNAL_PROVER") or None
+class UsageError(Exception):
+    """An unknown flag, or a flag's value missing, malformed or out of its choices."""
+
+
+def parse_args(argv: list[str]) -> dict[str, object] | None:
+    """The flags of argv by name, with their defaults, and its FILEs under
+    "files"; None if argv asks for the help (-h or --help).
+
+    A flag's value follows it as the next argument, even one that starts
+    with "-", or after "=" in the same argument. A later flag overrides an
+    earlier one. Every argument after "--" is a FILE. Flags are spelled in
+    full. Raises UsageError for anything else.
+    """
+    args: dict[str, object] = {"files": []}
+    for flag, (_, default) in _FLAGS.items():
+        args[flag[2:].replace("-", "_")] = default
+    files = args["files"]
+    rest = iter(argv)
+    for arg in rest:
+        if arg == "--":
+            files.extend(rest)
+            break
+        if arg[:1] != "-" or arg == "-":
+            files.append(arg)
+            continue
+        if arg in ("-h", "--help"):
+            return None
+        flag, eq, value = arg.partition("=")
+        if flag not in _FLAGS:
+            raise UsageError(f"unrecognized arguments: {arg}")
+        convert = _FLAGS[flag][0]
+        if convert is None:
+            if eq:
+                raise UsageError(f"argument {flag}: ignored explicit argument {value!r}")
+            value = True
+        else:
+            if not eq:
+                value = next(rest, None)
+                if value is None:
+                    raise UsageError(f"argument {flag}: expected one argument")
+            try:
+                value = convert(value)
+            except ValueError:
+                raise UsageError(
+                    f"argument {flag}: invalid {convert.__name__} value: {value!r}") from None
+            if flag == "--criterion" and value not in CRITERION_CHOICES:
+                raise UsageError(f"argument {flag}: invalid choice: {value!r} (choose from "
+                                 f"{', '.join(map(repr, CRITERION_CHOICES))})")
+        args[flag[2:].replace("-", "_")] = value
+    return args
+
+
+def _config_from(args: dict[str, object]) -> Config:
+    criteria = DEFAULT_CRITERIA if args["criterion"] == "auto" else (args["criterion"],)
+    external = args["external_prover"] or os.environ.get("DDRT_EXTERNAL_PROVER") or None
     return Config(
-        k=args.k,
-        dim_max=args.dim_max,
-        coef_max=args.coef_max,
+        k=args["k"],
+        dim_max=args["dim_max"],
+        coef_max=args["coef_max"],
         external_prover=external,
-        timeout=args.timeout,
+        timeout=args["timeout"],
         criteria=criteria,
     )
 
 
 def _prove_file(path: str, cfg: Config) -> Verdict:
-    text = Path(path).read_text(encoding="ascii")
+    with open(path, "rb") as f:
+        text = f.read().decode("ascii")
     return prove(parse_trs(text), cfg)
 
 
@@ -167,6 +249,8 @@ def _batch_worker(item: tuple[str, Config]) -> tuple[str, str, str]:
 
 def _run_batch(directory: str, cfg: Config) -> int:
     import concurrent.futures
+    from collections import Counter
+    from pathlib import Path
 
     paths = sorted(str(p) for p in Path(directory).glob("*.trs"))
     if not paths:
@@ -189,62 +273,32 @@ def _run_batch(directory: str, cfg: Config) -> int:
     return 0
 
 
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process: `parse_args` keeps no state in it."""
-    parser = argparse.ArgumentParser(
-        prog="ddrt",
-        description="Confluence prover for first-order term rewrite systems "
-        "(TPDB plain format).",
-    )
-    defaults = Config()
-    parser.add_argument("files", nargs="*", metavar="FILE", help="a .trs problem file")
-    parser.add_argument(
-        "--criterion", choices=CRITERION_CHOICES, default="auto",
-        help="restrict to one criterion (default: run all)",
-    )
-    parser.add_argument("--k", type=int, default=defaults.k,
-                        help="join bound (default %(default)s)")
-    parser.add_argument("--timeout", type=float, default=defaults.timeout,
-                        help="global timeout in seconds (default %(default)s)")
-    parser.add_argument("--dim-max", type=int, default=defaults.dim_max,
-                        help="maximum interpretation dimension (default %(default)s)")
-    parser.add_argument("--coef-max", type=int, default=defaults.coef_max,
-                        help="maximum matrix coefficient (default %(default)s)")
-    parser.add_argument(
-        "--external-prover", default=None, metavar="CMD",
-        help="external termination prover command (env DDRT_EXTERNAL_PROVER)",
-    )
-    parser.add_argument(
-        "--proof", action="store_true", help="print a JSON proof trace after the verdict"
-    )
-    parser.add_argument(
-        "--batch", default=None, metavar="DIR",
-        help="prove every .trs file in DIR and print summary counts",
-    )
-    return parser
-
-
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as e:
+        print(f"{_USAGE}\nddrt: error: {e}", file=sys.stderr)
+        return 2
+    if args is None:
+        print(_USAGE + _HELP.format(cfg=_DEFAULTS))
+        return 0
     try:
         cfg = _config_from(args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if args.batch is not None:
-        if args.files:
+    if args["batch"] is not None:
+        if args["files"]:
             print("error: --batch does not take FILE arguments", file=sys.stderr)
             return 2
-        if args.proof:
+        if args["proof"]:
             print("error: --batch does not print proofs (--proof)", file=sys.stderr)
             return 2
-        return _run_batch(args.batch, cfg)
-    if not args.files:
-        parser.print_usage(sys.stderr)
+        return _run_batch(args["batch"], cfg)
+    if not args["files"]:
+        print(_USAGE, file=sys.stderr)
         return 2
-    return _run_single(args.files, cfg, args.proof)
+    return _run_single(args["files"], cfg, args["proof"])
 
 
 def main() -> None:

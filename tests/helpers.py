@@ -7,15 +7,18 @@ that a passing replay actually certifies a verdict.
 
 from __future__ import annotations
 
+import argparse
 import json
 import random
 from itertools import product
 
 from ddrt import TRS
+from ddrt.cli import CRITERION_CHOICES
 from ddrt.critical_pairs import Overlap, cps, critical_pairs
 from ddrt.errors import ResourceLimitError
 from ddrt.interpretations import RelTermProblem, compare_forms, interpret_term
 from ddrt.joinability import JoinInstance, join_instances
+from ddrt.prover import Config
 from ddrt.rewriting import (
     DEFAULT_NODE_BUDGET,
     Rule,
@@ -63,6 +66,47 @@ def trace_by_json(kind: str, criterion: str, details: dict) -> str:
         indent=2,
         sort_keys=True,
     )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The command line as `argparse` read it: the oracle of `ddrt.cli.parse_args`.
+
+    `vars(build_parser().parse_args(argv))` is what `parse_args(argv)`
+    returns, except that argparse also takes a prefix of a flag for the flag
+    (`--crit` for `--criterion`) and raises SystemExit where `parse_args`
+    raises UsageError.
+    """
+    parser = argparse.ArgumentParser(
+        prog="ddrt",
+        description="Confluence prover for first-order term rewrite systems "
+        "(TPDB plain format).",
+    )
+    defaults = Config()
+    parser.add_argument("files", nargs="*", metavar="FILE", help="a .trs problem file")
+    parser.add_argument(
+        "--criterion", choices=CRITERION_CHOICES, default="auto",
+        help="restrict to one criterion (default: run all)",
+    )
+    parser.add_argument("--k", type=int, default=defaults.k,
+                        help="join bound (default %(default)s)")
+    parser.add_argument("--timeout", type=float, default=defaults.timeout,
+                        help="global timeout in seconds (default %(default)s)")
+    parser.add_argument("--dim-max", type=int, default=defaults.dim_max,
+                        help="maximum interpretation dimension (default %(default)s)")
+    parser.add_argument("--coef-max", type=int, default=defaults.coef_max,
+                        help="maximum matrix coefficient (default %(default)s)")
+    parser.add_argument(
+        "--external-prover", default=None, metavar="CMD",
+        help="external termination prover command (env DDRT_EXTERNAL_PROVER)",
+    )
+    parser.add_argument(
+        "--proof", action="store_true", help="print a JSON proof trace after the verdict"
+    )
+    parser.add_argument(
+        "--batch", default=None, metavar="DIR",
+        help="prove every .trs file in DIR and print summary counts",
+    )
+    return parser
 
 
 def eval_formula(f: Formula, levels: dict[int, int]) -> bool:

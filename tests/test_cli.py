@@ -20,7 +20,7 @@ from ddrt.terms import Fun, Var
 from ddrt.tpdb import ParseError, format_trs, parse_trs
 from ddrt.verdict import Verdict
 from conftest import DATA_DIR, data_path, term
-from helpers import trace_by_json
+from helpers import build_parser, trace_by_json
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -254,21 +254,25 @@ class TestStartup:
     HEAVY = ("numpy", "concurrent.futures", "dataclasses", "ddrt.interpretations",
              "ddrt.joinability", "ddrt.rule_labeling")
 
+    # what a fresh process used to load for the flags, the quoter and the file
+    UNNEEDED = ("argparse", "gettext", "locale", "json", "json.encoder", "pathlib",
+                "encodings.ascii")
+
     def _loaded_after(self, call: str, flags: tuple[str, ...] = (),
                       watched: tuple[str, ...] = HEAVY) -> tuple[str, list[str]]:
         """The output of call, run after `import ddrt.cli` by the interpreter
         with flags, and the watched modules loaded by then.
 
-        The module list is printed as JSON on the last line of stdout, so
-        warnings on stderr cannot disturb it.
+        The module names are printed on the last line of stdout, so warnings
+        on stderr cannot disturb them; printing them loads no module.
         """
         code = (
-            "import json, sys, ddrt.cli\n"
+            "import sys, ddrt.cli\n"
             f"{call}\n"
-            f"print(json.dumps([m for m in {watched!r} if m in sys.modules]))"
+            f"print(*[m for m in {watched!r} if m in sys.modules])"
         )
         *out, loaded = _python([*flags, "-c", code]).stdout.splitlines()
-        return "\n".join(out), json.loads(loaded)
+        return "\n".join(out), loaded.split()
 
     def test_import_loads_nothing_heavy(self):
         assert self._loaded_after("pass") == ("", [])
@@ -276,6 +280,13 @@ class TestStartup:
     def test_import_without_site_loads_no_typing(self):
         # without -S, a .pth file of the environment may load typing first
         assert self._loaded_after("pass", ("-S",), self.HEAVY + ("typing",)) == ("", [])
+
+    def test_orthogonal_proof_without_site_loads_no_unneeded_module(self):
+        # flags, JSON quoting and the problem file need no module of their own
+        argv = ["--proof", data_path("ortho.trs")]
+        out, loaded = self._loaded_after(f"ddrt.cli.run({argv!r})", ("-S",), self.UNNEEDED)
+        assert out.splitlines()[0] == "YES"
+        assert loaded == []
 
     def test_orthogonal_proof_loads_nothing_heavy(self):
         argv = ["--proof", data_path("ortho.trs")]
@@ -357,6 +368,8 @@ class TestRunBatch:
         assert [f"{p}\tERROR" for p in broken] == captured.out.splitlines()[:2]
         errors = captured.err.splitlines()
         assert [line.split(": ")[1] for line in errors] == broken
+        assert errors[0] == (f"error: {broken[0]}: 'ascii' codec can't decode byte 0xff "
+                             "in position 7: ordinal not in range(128)")
         assert errors[1] == f"error: {broken[1]}: expected ')', got '->' (at token 5)"
 
     def test_timeout_is_per_file(self, tmp_path, capsys):
@@ -412,7 +425,7 @@ class TestOutOfMemory:
 
 def test_flag_defaults_are_the_config_defaults(monkeypatch):
     monkeypatch.delenv("DDRT_EXTERNAL_PROVER", raising=False)
-    assert cli._config_from(cli.build_parser().parse_args(["f.trs"])) == Config()
+    assert cli._config_from(cli.parse_args(["f.trs"])) == Config()
 
 
 # what a record's default repr would print into a proof in place of its text
@@ -561,7 +574,12 @@ class TestProofWriter:
 
 class TestOneParser:
     def test_one_parser_per_process(self):
-        assert cli.build_parser() is cli.build_parser()
+        # the flag table is the parser: a call builds its result afresh and
+        # shares nothing with the next call
+        first = cli.parse_args(["--k", "2", "a.trs"])
+        first["files"].append("b.trs")
+        assert cli.parse_args(["--k", "2", "a.trs"])["files"] == ["a.trs"]
+        assert cli.parse_args([]) == vars(build_parser().parse_args([]))
 
     def test_a_run_leaves_no_flag_behind(self, monkeypatch, capsys):
         monkeypatch.delenv("DDRT_EXTERNAL_PROVER", raising=False)
@@ -570,3 +588,141 @@ class TestOneParser:
         capsys.readouterr()
         assert run(["--proof", path]) == 0
         assert capsys.readouterr().out == _python(["-m", "ddrt.cli", "--proof", path]).stdout
+
+
+# values each flag may take, argparse and `parse_args` alike: numbers with
+# signs, blanks and underscores, non-finite floats, empty text and "="
+_VALUES = {
+    "--criterion": CRITERION_CHOICES,
+    "--k": ("0", "3", "-1", " 7 ", "+2", "1_0", "-0"),
+    "--timeout": ("0.5", "1e3", "nan", "inf", "-2.5", "-.5", "60", "0"),
+    "--dim-max": ("1", "2", "-3", "0"),
+    "--coef-max": ("1", "2", "-1"),
+    "--external-prover": ("prover.sh", "", "my prover", "x=y"),
+    "--batch": ("problems", "a dir", ""),
+    "--proof": (None,),
+}
+_FILES = ("a.trs", "dir/b.trs", "-", "c d.trs")
+
+# one piece each that both parsers reject: an unknown flag, a bad value, a
+# bad --criterion and a value given to a switch (a missing value comes last)
+_BAD = (["--bogus"], ["-x"], ["--proofs"], ["--k", "x"], ["--k", "1.5"], ["--k="],
+        ["--timeout", "soon"], ["--dim-max=two"], ["--coef-max", ""], ["--criterion", "foo"],
+        ["--criterion=KB"], ["--criterion", ""], ["--proof=yes"], ["--proof="])
+
+
+def _random_flags(rng: random.Random) -> list[list[str]]:
+    """Flags with values, each as the one or two arguments that give it,
+    in both spellings and with repeats."""
+    groups = []
+    for _ in range(rng.randrange(7)):
+        flag = rng.choice(list(_VALUES))
+        value = rng.choice(_VALUES[flag])
+        if value is None:
+            groups.append([flag])
+        elif rng.random() < 0.5:
+            groups.append([f"{flag}={value}"])
+        else:
+            groups.append([flag, value])
+    return groups
+
+
+def _random_argv(rng: random.Random) -> list[str]:
+    """An argv that argparse accepts: flags, and FILEs in one run between
+    any two of them or after "--"."""
+    groups = _random_flags(rng)
+    files = rng.sample(_FILES, rng.randrange(3))
+    if files and rng.random() < 0.2:
+        groups.append(["--", *files, *rng.sample(["--proof", "-x.trs"], rng.randrange(3))])
+    else:
+        groups.insert(rng.randrange(len(groups) + 1), files)
+    return [arg for group in groups for arg in group]
+
+
+def _reprs(args: dict) -> dict[str, str]:
+    """args with each value as its repr: NaN equals NaN, and 1 differs from 1.0."""
+    return {name: repr(value) for name, value in args.items()}
+
+
+def _config_or_error(args: dict):
+    try:
+        return cli._config_from(args)
+    except ValueError as e:
+        return str(e)
+
+
+class TestParseArgs:
+    """`parse_args` reads a command line as the argparse parser of
+    `helpers.build_parser` does, prefix abbreviations aside."""
+
+    def test_generated_argv_parse_as_under_argparse(self, monkeypatch):
+        monkeypatch.delenv("DDRT_EXTERNAL_PROVER", raising=False)
+        rng = random.Random(19)
+        reference = build_parser()
+        for _ in range(2000):
+            argv = _random_argv(rng)
+            expected = vars(reference.parse_args(argv))
+            got = cli.parse_args(argv)
+            assert _reprs(got) == _reprs(expected), argv
+            assert _config_or_error(got) == _config_or_error(expected), argv
+
+    def test_every_flag_in_both_spellings(self):
+        reference = build_parser()
+        for flag, values in _VALUES.items():
+            for value in values:
+                spellings = ([[flag]] if value is None
+                             else [[flag, value], [f"{flag}={value}"]])
+                for argv in spellings:
+                    argv = argv + ["f.trs"]
+                    expected = vars(reference.parse_args(argv))
+                    assert _reprs(cli.parse_args(argv)) == _reprs(expected), argv
+
+    def test_generated_bad_argv_exit_2_under_both(self, capsys):
+        rng = random.Random(20)
+        reference = build_parser()
+        missing = [[flag] for flag, values in _VALUES.items() if values != (None,)]
+        for _ in range(300):
+            groups = _random_flags(rng) + [rng.sample(_FILES, rng.randrange(2))]
+            if rng.random() < 0.2:
+                groups.append(rng.choice(missing))
+            else:
+                groups.insert(rng.randrange(len(groups) + 1), rng.choice(_BAD))
+            argv = [arg for group in groups for arg in group]
+            with pytest.raises(SystemExit) as exited:
+                reference.parse_args(argv)
+            assert exited.value.code == 2, argv
+            with pytest.raises(cli.UsageError):
+                cli.parse_args(argv)
+            capsys.readouterr()
+            assert run(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "", argv
+            assert err.startswith(f"{cli._USAGE}\nddrt: error: "), argv
+            assert err.count("\n") == cli._USAGE.count("\n") + 2, argv
+
+    def test_missing_value_and_bad_criterion_messages(self, capsys):
+        assert run(["f.trs", "--k"]) == 2
+        assert capsys.readouterr().err.endswith(
+            "\nddrt: error: argument --k: expected one argument\n")
+        assert run(["--criterion", "foo", "f.trs"]) == 2
+        assert capsys.readouterr().err.endswith(
+            "\nddrt: error: argument --criterion: invalid choice: 'foo' (choose from "
+            "'auto', 'nc', 'ortho', 'rl', 'kb', 'dd1', 'dd2', 'dd2x')\n")
+
+    def test_flags_are_spelled_in_full(self, capsys):
+        # argparse took a prefix of a flag for the flag
+        assert run(["--crit", "rl", data_path("stream.trs")]) == 2
+        assert capsys.readouterr().err.endswith(
+            "\nddrt: error: unrecognized arguments: --crit\n")
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_prints_every_flag(self, flag, capsys):
+        assert run(["--k", "2", flag, "--bogus"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith("usage: ddrt [-h] ")
+        listed = {line.split()[0] for line in out.splitlines() if line.startswith("  -")}
+        assert listed == {"-h,", *cli._FLAGS}
+        assert all(f"[{name}" in cli._USAGE for name in cli._FLAGS)
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args([flag])
+        assert exited.value.code == 0
