@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 _LAZY = {
     "ResourceLimitError": "errors",
     "MatrixInterpretation": "interpretations",
-    "RelTermProblem": "interpretations",
     "prove_relative_termination": "interpretations",
     "prove_termination": "interpretations",
     "JoinInstance": "joinability",

@@ -294,6 +294,10 @@ def run(argv: list[str] | None = None) -> int:
         if args["proof"]:
             print("error: --batch does not print proofs (--proof)", file=sys.stderr)
             return 2
+        # an empty DIR would glob the working directory
+        if not os.path.isdir(args["batch"]):
+            print(f"error: --batch: not a directory: {args['batch']!r}", file=sys.stderr)
+            return 2
         return _run_batch(args["batch"], cfg)
     if not args["files"]:
         print(_USAGE, file=sys.stderr)

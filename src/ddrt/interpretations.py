@@ -22,42 +22,7 @@ from .verdict import Verdict, maybe, yes
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
 
-STRICT = "strict"
-WEAK = "weak"
-INCOMPARABLE = "incomparable"
-
 _set = object.__setattr__
-
-
-def identity(dim: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
-
-
-def zero_vector(dim: int) -> Vector:
-    return (0,) * dim
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
-        for i in range(len(a))
-    )
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(u, v))
-
-
-def mat_geq(a: Matrix, b: Matrix) -> bool:
-    return all(x >= y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 class MatrixInterpretation(Frozen):
@@ -82,51 +47,6 @@ class MatrixInterpretation(Frozen):
                 for s, (mats, const) in sorted(self.funcs.items())
             },
         }
-
-
-class LinearForm(Frozen):
-    __slots__ = ("coeffs", "const")
-
-    def __init__(self, coeffs: dict[str, Matrix], const: Vector) -> None:
-        _set(self, "coeffs", coeffs)
-        _set(self, "const", const)
-
-
-class RelTermProblem(Frozen):
-    """Termination of `strict` relative to `weak`."""
-
-    __slots__ = ("strict", "weak")
-
-    def __init__(self, strict: TRS, weak: TRS) -> None:
-        _set(self, "strict", strict)
-        _set(self, "weak", weak)
-
-
-def interpret_term(M: MatrixInterpretation, t: Term) -> LinearForm:
-    if isinstance(t, Var):
-        return LinearForm({t.name: identity(M.dim)}, zero_vector(M.dim))
-    if t.symbol not in M.funcs:
-        raise KeyError(f"symbol {t.symbol} not interpreted")
-    mats, const = M.funcs[t.symbol]
-    coeffs: dict[str, Matrix] = {}
-    for mat, arg in zip(mats, t.args):
-        sub = interpret_term(M, arg)
-        const = vec_add(const, mat_vec(mat, sub.const))
-        for x, c in sub.coeffs.items():
-            prod = mat_mul(mat, c)
-            coeffs[x] = mat_add(coeffs[x], prod) if x in coeffs else prod
-    return LinearForm(coeffs, const)
-
-
-def compare_forms(l: LinearForm, r: LinearForm) -> str:
-    dim = len(l.const)
-    zero = tuple(zero_vector(dim) for _ in range(dim))
-    for x in l.coeffs.keys() | r.coeffs.keys():
-        if not mat_geq(l.coeffs.get(x, zero), r.coeffs.get(x, zero)):
-            return INCOMPARABLE
-    if not all(a >= b for a, b in zip(l.const, r.const)):
-        return INCOMPARABLE
-    return STRICT if l.const[0] > r.const[0] else WEAK
 
 
 def _signature(rules: list[Rule]) -> tuple[dict[str, int], list[set[str]]]:
@@ -577,7 +497,8 @@ def external_termination_check(
 
 
 def prove_relative_termination(
-    P: RelTermProblem,
+    strict: TRS,
+    weak: TRS,
     dim_max: int = 3,
     coef_max: int = 1,
     budget: int = DEFAULT_SEARCH_BUDGET,
@@ -594,8 +515,8 @@ def prove_relative_termination(
     method with the reason "timeout". The method is sound for YES only;
     failure yields MAYBE, never NO.
     """
-    strict = list(P.strict.rules)
-    weak = list(P.weak.rules)
+    strict = list(strict.rules)
+    weak = list(weak.rules)
     chain: list[dict] = []
     diagnostics: list[str] = []
 
@@ -658,7 +579,7 @@ def prove_relative_termination(
     union = fresh_trs(strict + weak)
     if weak and not has_looping_rule(list(union.rules)):
         sub = prove_relative_termination(
-            RelTermProblem(union, TRS(())), dim_max, coef_max, budget, deadline=deadline
+            union, TRS(()), dim_max, coef_max, budget, deadline=deadline
         )
         if sub.is_yes:
             return yes(
@@ -693,6 +614,6 @@ def prove_termination(
     """Plain termination of R: relative termination against the empty system,
     with the external prover asked about the rules left after removal."""
     v = prove_relative_termination(
-        RelTermProblem(R, TRS(())), dim_max, coef_max, budget, external_command, deadline
+        R, TRS(()), dim_max, coef_max, budget, external_command, deadline
     )
     return Verdict(v.kind, "termination", v.details)

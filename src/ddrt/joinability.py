@@ -37,10 +37,6 @@ class JoinInstance(Frozen):
         _set(self, "left_trace", left_trace)
         _set(self, "right_trace", right_trace)
 
-    @property
-    def seqs(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return self.left_seq, self.right_seq
-
     def to_json(self) -> dict:
         return {
             "left_seq": list(self.left_seq),

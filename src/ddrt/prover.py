@@ -136,8 +136,7 @@ class Analysis:
                   self.deadline)
         if weak is None:
             return interpretations.prove_termination(strict, *bounds)
-        problem = interpretations.RelTermProblem(strict, weak)
-        return interpretations.prove_relative_termination(problem, *bounds)
+        return interpretations.prove_relative_termination(strict, weak, *bounds)
 
 
 def check_orthogonal(a: Analysis) -> Verdict:

@@ -22,10 +22,6 @@ class Verdict(Record):
     def is_yes(self) -> bool:
         return self.kind == YES
 
-    @property
-    def is_no(self) -> bool:
-        return self.kind == NO
-
 
 def yes(criterion: str, **details: object) -> Verdict:
     return Verdict(YES, criterion, details)

@@ -2,7 +2,10 @@
 
 Everything here re-derives results from first principles (direct recursion,
 exhaustive enumeration) instead of reusing the library's own search code, so
-that a passing replay actually certifies a verdict.
+that a passing replay actually certifies a verdict. That includes the
+interpretation oracle, `interpret_term` and `compare_forms`: a pure-Python
+evaluator of matrix interpretations that replays every rule-removal chain,
+independent of the numpy evaluator of the library's search.
 """
 
 from __future__ import annotations
@@ -11,12 +14,12 @@ import argparse
 import json
 import random
 from itertools import product
+from typing import NamedTuple
 
 from ddrt import TRS
 from ddrt.cli import CRITERION_CHOICES
 from ddrt.critical_pairs import Overlap, cps, critical_pairs
 from ddrt.errors import ResourceLimitError
-from ddrt.interpretations import RelTermProblem, compare_forms, interpret_term
 from ddrt.joinability import JoinInstance, join_instances
 from ddrt.prover import Config
 from ddrt.rewriting import (
@@ -201,12 +204,90 @@ def replay_join(R: TRS, left: Term, right: Term, inst) -> None:
     assert replay_steps(R, right, inst.right_seq, inst.right_trace) == inst.meet
 
 
+Matrix = tuple[tuple[int, ...], ...]
+Vector = tuple[int, ...]
+
+STRICT = "strict"
+WEAK = "weak"
+INCOMPARABLE = "incomparable"
+
+
+def identity(dim: int) -> Matrix:
+    return tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
+
+
+def zero_vector(dim: int) -> Vector:
+    return (0,) * dim
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
+def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_vec(a: Matrix, v: Vector) -> Vector:
+    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
+
+
+def vec_add(u: Vector, v: Vector) -> Vector:
+    return tuple(x + y for x, y in zip(u, v))
+
+
+def mat_geq(a: Matrix, b: Matrix) -> bool:
+    return all(x >= y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+class LinearForm(NamedTuple):
+    """A matrix coefficient per variable plus a constant vector."""
+
+    coeffs: dict[str, Matrix]
+    const: Vector
+
+
+def interpret_term(M, t: Term) -> LinearForm:
+    """The linear form of t under the matrix interpretation M, by direct
+    recursion; reads only `M.dim` and `M.funcs`."""
+    if isinstance(t, Var):
+        return LinearForm({t.name: identity(M.dim)}, zero_vector(M.dim))
+    if t.symbol not in M.funcs:
+        raise KeyError(f"symbol {t.symbol} not interpreted")
+    mats, const = M.funcs[t.symbol]
+    coeffs: dict[str, Matrix] = {}
+    for mat, arg in zip(mats, t.args):
+        sub = interpret_term(M, arg)
+        const = vec_add(const, mat_vec(mat, sub.const))
+        for x, c in sub.coeffs.items():
+            prod = mat_mul(mat, c)
+            coeffs[x] = mat_add(coeffs[x], prod) if x in coeffs else prod
+    return LinearForm(coeffs, const)
+
+
+def compare_forms(l: LinearForm, r: LinearForm) -> str:
+    """STRICT when l >= r entrywise and the first constant component
+    decreases, WEAK when l >= r entrywise otherwise, else INCOMPARABLE."""
+    dim = len(l.const)
+    zero = tuple(zero_vector(dim) for _ in range(dim))
+    for x in l.coeffs.keys() | r.coeffs.keys():
+        if not mat_geq(l.coeffs.get(x, zero), r.coeffs.get(x, zero)):
+            return INCOMPARABLE
+    if not all(a >= b for a, b in zip(l.const, r.const)):
+        return INCOMPARABLE
+    return STRICT if l.const[0] > r.const[0] else WEAK
+
+
 def replay_rounds(chain: list[dict], strict, weak) -> tuple[list, list]:
     """Certify the rounds of a rule-removal chain that starts from the rules
     `strict` and `weak`; returns what remains.
 
-    Every round must weakly orient all remaining rules and strictly orient
-    all removed rules; bookkeeping between rounds must be consistent.
+    Every round must weakly orient all remaining rules and remove exactly the
+    rules it orients strictly, in `strict + weak` order; bookkeeping between
+    rounds must be consistent.
     """
     strict, weak = list(strict), list(weak)
     for entry in chain:
@@ -215,21 +296,24 @@ def replay_rounds(chain: list[dict], strict, weak) -> tuple[list, list]:
         M = entry["interpretation"]
         removed = list(entry["removed"])
         assert removed, "a round must remove at least one rule"
+        oriented = []
         for rule in strict + weak:
             cmp = compare_forms(interpret_term(M, rule.lhs), interpret_term(M, rule.rhs))
-            assert cmp in ("strict", "weak"), f"{rule} not weakly oriented"
-        for rule in removed:
-            assert rule in strict + weak
-            cmp = compare_forms(interpret_term(M, rule.lhs), interpret_term(M, rule.rhs))
-            assert cmp == "strict", f"removed rule {rule} not strictly oriented"
+            assert cmp in (STRICT, WEAK), f"{rule} not weakly oriented"
+            if cmp == STRICT:
+                oriented.append(rule)
+        assert removed == oriented, (
+            f"removed {removed}, but the rules oriented strictly are {oriented}"
+        )
         strict = [r for r in strict if r not in removed]
         weak = [r for r in weak if r not in removed]
     return strict, weak
 
 
-def replay_relative(problem: RelTermProblem, details: dict) -> None:
-    """Certify the relative-termination part of a YES verdict on `problem`."""
-    strict, weak = replay_rounds(details["chain"], problem.strict.rules, problem.weak.rules)
+def replay_relative(strict: TRS, weak: TRS, details: dict) -> None:
+    """Certify the relative-termination part of a YES verdict on termination
+    of `strict` relative to `weak`."""
+    strict, weak = replay_rounds(details["chain"], strict.rules, weak.rules)
     union = details.get("union_termination")
     if union is None:
         assert not strict, "chain ended with strict rules left over"
@@ -244,11 +328,12 @@ def replay_relative(problem: RelTermProblem, details: dict) -> None:
     assert not left_strict and not left_weak, "union chain left rules unoriented"
 
 
-def dd1_problem(R: TRS) -> RelTermProblem:
-    """The relative problem of the duplication split on R: the critical pair
-    steps and the duplicating rules against the other rules."""
+def dd1_problem(R: TRS) -> tuple[TRS, TRS]:
+    """The relative problem of the duplication split on R, as (strict, weak):
+    the critical pair steps and the duplicating rules against the other
+    rules."""
     dup, nondup = split_duplicating(R)
-    return RelTermProblem(fresh_trs([*cps(critical_pairs(R)).rules, *dup.rules]), nondup)
+    return fresh_trs([*cps(critical_pairs(R)).rules, *dup.rules]), nondup
 
 
 def rl_constraint(R: TRS, k: int) -> tuple[Formula, list[list[JoinInstance]]]:

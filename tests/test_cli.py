@@ -389,6 +389,16 @@ class TestRunBatch:
     def test_empty_directory(self, tmp_path, capsys):
         assert run(["--batch", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("argv", [["--batch="], ["--batch", ""], ["--batch", "fork.trs"]])
+    def test_a_value_that_is_not_a_directory(self, tmp_path, monkeypatch, capsys, argv):
+        # an empty value must not stand for the working directory
+        (tmp_path / "fork.trs").write_text((DATA_DIR / "fork.trs").read_text())
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --batch: not a directory: ")
+
     def test_batch_and_files_conflict(self, tmp_path):
         assert run(["--batch", str(tmp_path), data_path("fork.trs")]) == 2
 
@@ -430,7 +440,7 @@ def test_flag_defaults_are_the_config_defaults(monkeypatch):
 
 # what a record's default repr would print into a proof in place of its text
 _REPRS = re.compile(r"\b(Var|Fun|Rule|RuleClass|TRS|Overlap|CriticalPair|JoinInstance|And|Or|Gt|"
-                    r"Geq|MatrixInterpretation|LinearForm|RelTermProblem|Verdict|Config)\(|"
+                    r"Geq|MatrixInterpretation|Verdict|Config)\(|"
                     r" object at 0x")
 
 

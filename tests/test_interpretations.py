@@ -19,13 +19,10 @@ from ddrt.cli import run
 from ddrt.interpretations import (
     DEFAULT_SEARCH_BUDGET,
     MatrixInterpretation,
-    RelTermProblem,
     _candidates,
     _row0_choices,
-    compare_forms,
     external_termination_check,
     has_looping_rule,
-    interpret_term,
     prove_relative_termination,
     prove_termination,
     search_interpretation,
@@ -35,7 +32,15 @@ from ddrt.rewriting import Rule
 from ddrt.terms import Fun, apply_subst, iter_positions, match, replace_at, variables
 from ddrt.tpdb import parse_trs
 from conftest import DATA_DIR, system, term
-from helpers import candidates_by_filter, candidates_by_prefixes, make_random_term, replay_relative
+from helpers import (
+    candidates_by_filter,
+    candidates_by_prefixes,
+    compare_forms,
+    interpret_term,
+    make_random_term,
+    replay_relative,
+    replay_rounds,
+)
 
 
 class TestInterpretTerm:
@@ -97,10 +102,10 @@ class TestCompareForms:
             MatrixInterpretation(dim=1, funcs={"f": ((((0,),),), (0,))})
 
 
-def _search(P: RelTermProblem, dim: int):
+def _search(strict: TRS, weak: TRS, dim: int):
     """One full-space search with coefficients up to 1 and constants up to 2."""
     return search_interpretation(
-        list(P.strict.rules), list(P.weak.rules), dim, 1, 2, DEFAULT_SEARCH_BUDGET, None
+        list(strict.rules), list(weak.rules), dim, 1, 2, DEFAULT_SEARCH_BUDGET, None
     )
 
 
@@ -219,7 +224,7 @@ def test_search_past_the_deadline_answers_timeout_once():
     # every schedule and the union search used to run on after the deadline
     R = system("c -> b", "b -> f(g(c),g(a))")
     start = time.monotonic()
-    v = prove_relative_termination(RelTermProblem(R, TRS(())), deadline=start + 1)
+    v = prove_relative_termination(R, TRS(()), deadline=start + 1)
     assert time.monotonic() - start < 3.0
     assert v.kind == "MAYBE" and v.details["reason"] == "timeout"
     assert v.details["diagnostics"] == ["interpretation search passed the deadline"]
@@ -227,13 +232,12 @@ def test_search_past_the_deadline_answers_timeout_once():
 
 class TestSearchInterpretation:
     def test_self_loop_has_no_orientation(self):
-        P = RelTermProblem(system("a -> a"), TRS(()))
-        assert _search(P, 1) is None
-        assert _search(P, 2) is None
+        R = system("a -> a")
+        assert _search(R, TRS(()), 1) is None
+        assert _search(R, TRS(()), 2) is None
 
     def test_single_ground_rule(self):
-        P = RelTermProblem(system("a -> b"), TRS(()))
-        found = _search(P, 1)
+        found = _search(system("a -> b"), TRS(()), 1)
         assert found is not None
         M, removed = found
         assert removed == {0}
@@ -242,27 +246,27 @@ class TestSearchInterpretation:
         assert compare_forms(a, b) == "strict"
 
     def test_cp_steps_of_extended_stream(self, stream_d):
-        P = RelTermProblem(cps(critical_pairs(stream_d)), stream_d)
-        found = _search(P, 2)
+        steps = cps(critical_pairs(stream_d))
+        found = _search(steps, stream_d, 2)
         assert found is not None
         M, _ = found
         strictly_oriented = 0
-        for rule in list(P.strict.rules) + list(P.weak.rules):
+        for rule in list(steps.rules) + list(stream_d.rules):
             lhs = interpret_term(M, rule.lhs)
             rhs = interpret_term(M, rule.rhs)
             assert compare_forms(lhs, rhs) in ("weak", "strict")
-        for rule in P.strict.rules:
+        for rule in steps.rules:
             lhs = interpret_term(M, rule.lhs)
             rhs = interpret_term(M, rule.rhs)
             strictly_oriented += compare_forms(lhs, rhs) == "strict"
         assert strictly_oriented >= 1
 
     def test_orientation_closed_under_contexts(self, stream_d):
-        P = RelTermProblem(cps(critical_pairs(stream_d)), stream_d)
-        M, _ = _search(P, 2)
+        steps = cps(critical_pairs(stream_d))
+        M, _ = _search(steps, stream_d, 2)
         strict_rules = [
             r
-            for r in P.strict.rules
+            for r in steps.rules
             if compare_forms(interpret_term(M, r.lhs), interpret_term(M, r.rhs))
             == "strict"
         ]
@@ -277,10 +281,10 @@ class TestSearchInterpretation:
 
 
     def test_orientation_stable_under_substitution(self):
-        P = RelTermProblem(system("f(x) -> g(x)"), TRS(()))
-        M, removed = _search(P, 1)
+        R = system("f(x) -> g(x)")
+        M, removed = _search(R, TRS(()), 1)
         assert removed == {0}
-        rule = P.strict.rules[0]
+        rule = R.rules[0]
         for image in (term("f(x)"), term("g(g(x))"), term("f(g(x))")):
             sigma = {"x": image}
             lhs = interpret_term(M, apply_subst(sigma, rule.lhs))
@@ -343,34 +347,57 @@ def test_looping_rule_agrees_with_the_position_scan():
 
 class TestProveRelativeTermination:
     def test_empty_strict_is_immediate(self, stream):
-        v = prove_relative_termination(RelTermProblem(TRS(()), stream))
+        v = prove_relative_termination(TRS(()), stream)
         assert v.is_yes and v.details["chain"] == []
 
     def test_extended_stream_cp_steps(self, stream_d):
-        P = RelTermProblem(cps(critical_pairs(stream_d)), stream_d)
-        v = prove_relative_termination(P, dim_max=2)
+        steps = cps(critical_pairs(stream_d))
+        v = prove_relative_termination(steps, stream_d, dim_max=2)
         assert v.is_yes
-        replay_relative(P, v.details)
+        replay_relative(steps, stream_d, v.details)
 
     def test_union_termination_after_removal_stalls(self):
         # rule removal stalls before its first round; termination of the
         # union of both sides is shown instead
-        P = RelTermProblem(system("h(b,a) -> a"), system("f(a) -> f(g(h(b,a)))"))
-        v = prove_relative_termination(P, budget=20000)
+        strict, weak = system("h(b,a) -> a"), system("f(a) -> f(g(h(b,a)))")
+        v = prove_relative_termination(strict, weak, budget=20000)
         assert v.is_yes
         assert v.details["chain"] == []
         assert len(v.details["union_termination"]) == 2
-        replay_relative(P, v.details)
+        replay_relative(strict, weak, v.details)
 
     def test_toggle_cp_steps_unprovable(self, toggle):
         # f(a) and f(b) rewrite to each other, so no proof can exist
-        v = prove_relative_termination(RelTermProblem(cps(critical_pairs(toggle)), toggle))
+        v = prove_relative_termination(cps(critical_pairs(toggle)), toggle)
         assert v.kind == "MAYBE"
 
     def test_looping_strict_rule_fails_fast(self):
-        P = RelTermProblem(system("a -> f(a)"), TRS(()))
-        v = prove_relative_termination(P)
+        v = prove_relative_termination(system("a -> f(a)"), TRS(()))
         assert v.kind == "MAYBE"
+
+
+class TestReplayRounds:
+    """The oracle's replay of a rule-removal chain rejects a round that
+    leaves a strictly oriented rule in place."""
+
+    R = system("a -> b", "c -> d")
+    # a and c count 1, b and d count 0: both rules are oriented strictly
+    M = MatrixInterpretation(1, {s: ((), (int(s in "ac"),)) for s in "abcd"})
+
+    def _round(self, removed):
+        return [{"interpretation": self.M, "removed": removed,
+                 "strict_before": list(self.R.rules), "weak_before": []}]
+
+    def test_a_round_removing_every_strict_rule_replays(self):
+        assert replay_rounds(self._round(list(self.R.rules)), self.R.rules, ()) == ([], [])
+
+    def test_a_round_leaving_out_a_strict_rule_is_rejected(self):
+        with pytest.raises(AssertionError, match="oriented strictly"):
+            replay_rounds(self._round([self.R.rules[0]]), self.R.rules, ())
+
+    def test_a_round_out_of_order_is_rejected(self):
+        with pytest.raises(AssertionError, match="oriented strictly"):
+            replay_rounds(self._round(list(self.R.rules)[::-1]), self.R.rules, ())
 
 
 class TestProveTermination:
@@ -386,7 +413,7 @@ class TestProveTermination:
         for path in sorted(DATA_DIR.glob("*.trs")):
             R = parse_trs(path.read_text())
             v = prove_termination(R)
-            w = prove_relative_termination(RelTermProblem(R, TRS(())))
+            w = prove_relative_termination(R, TRS(()))
             assert (v.criterion, w.criterion) == ("termination", "relative-termination")
             assert (v.kind, v.details) == (w.kind, w.details), path.name
             kinds.add(v.kind)

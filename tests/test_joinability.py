@@ -48,7 +48,7 @@ class TestJoinableWithin:
 
     def test_identical_terms(self, stream):
         inst = join_instances(stream, term("s(0)"), term("s(0)"), 0)[0]
-        assert inst.seqs == ((), ())
+        assert (inst.left_seq, inst.right_seq) == ((), ())
 
     def test_distinct_normal_forms(self):
         R = system("a -> b", "c -> d")
@@ -64,12 +64,12 @@ class TestJoinInstances:
         left = term("inc(tl(:(0,inc(nat))))")
         right = term("tl(inc(nat))")
         minimal = join_instances(stream, left, right, 4)
-        assert {inst.seqs for inst in minimal} == {((2,), (0, 3, 2))}
+        assert {(inst.left_seq, inst.right_seq) for inst in minimal} == {((2,), (0, 3, 2))}
 
     def test_trivial_pair(self, stream):
         t = term("s(s(0))")
         minimal = join_instances(stream, t, t, 3)
-        assert {inst.seqs for inst in minimal} == {((), ())}
+        assert {(inst.left_seq, inst.right_seq) for inst in minimal} == {((), ())}
 
     def test_pairwise_minimality(self, stream, toggle, diamond):
         for R, s, t in (
@@ -187,7 +187,7 @@ def test_join_instances_match_brute_force_small_scale():
         for s, t in pairs:
             for k in (1, 2, 3):
                 expected = brute_minimal_joins(R, s, t, k)
-                actual = {inst.seqs for inst in join_instances(R, s, t, k)}
+                actual = {(inst.left_seq, inst.right_seq) for inst in join_instances(R, s, t, k)}
                 assert actual == expected, (
                     f"J_{k}({s},{t}) mismatch under {list(map(str, R.rules))}: "
                     f"{actual} != {expected}"
@@ -218,10 +218,10 @@ def test_subsequence_filter_matches_quadratic_definition():
         right = _paths(R, cp.right, 4)
         candidates += sum(m1 == m2 for _, m1 in left for _, m2 in right)
         minimal = join_instances(R, cp.left, cp.right, 4)
-        assert {inst.seqs for inst in minimal} == brute_minimal_joins(
+        assert {(inst.left_seq, inst.right_seq) for inst in minimal} == brute_minimal_joins(
             R, cp.left, cp.right, 4
         )
-        keys = [(len(i.left_seq) + len(i.right_seq), i.seqs) for i in minimal]
+        keys = [(len(i.left_seq) + len(i.right_seq), (i.left_seq, i.right_seq)) for i in minimal]
         assert keys == sorted(keys)
     assert candidates > 300
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import pytest
 
 from ddrt.critical_pairs import critical_pairs
-from ddrt.interpretations import MatrixInterpretation, RelTermProblem
+from ddrt.interpretations import MatrixInterpretation
 from ddrt.joinability import join_instances
 from ddrt.prover import DEFAULT_CRITERIA, Config
 from ddrt.rewriting import TRS, Rule, RuleClass, trs
@@ -87,7 +87,6 @@ class TestRecordHash:
         assert hash(r) == hash((r.index, r.lhs, r.rhs))
         assert hash(R) == hash((R.rules,))
         assert hash(RuleClass(True, False, True)) == hash((True, False, True))
-        assert hash(RelTermProblem(R, TRS(()))) == hash((R, TRS(())))
 
     def test_formulas_hash_their_fields(self):
         assert hash(Gt(1, 2)) == hash(Geq(1, 2)) == hash((1, 2))
@@ -125,7 +124,6 @@ class TestImmutable:
         (RuleClass(True, True, False), "duplicating"),
         (Gt(1, 2), "a"),
         (And(()), "parts"),
-        (RelTermProblem(TRS(()), TRS(())), "weak"),
         (MatrixInterpretation(1, {}), "dim"),
     ], ids=lambda v: type(v).__name__ if not isinstance(v, str) else v)
     def test_assignment_raises(self, record, field):

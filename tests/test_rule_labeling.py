@@ -64,7 +64,8 @@ class TestBuildRl:
     def test_stream(self, stream):
         formula, instances = rl_constraint(stream, 4)
         assert formula == And((build_phi(0, 4, (2,)), build_phi(4, 0, (0, 3, 2))))
-        assert [[inst.seqs for inst in joins] for joins in instances] == [[((2,), (0, 3, 2))]]
+        seqs = [[(inst.left_seq, inst.right_seq) for inst in joins] for joins in instances]
+        assert seqs == [[((2,), (0, 3, 2))]]
 
     def test_orthogonal_linear_is_top(self):
         R = system("f(x) -> g(x)", "a -> b")
