@@ -14,10 +14,9 @@ class Timeout(ResourceLimitError):
 
 class Meter:
     """The units of work of one bounded search. `spend` counts one unit and
-    raises ResourceLimitError past `limit` units. Every 256 units it reads
-    the clock, since reading it at every unit would slow the small searches,
-    and raises Timeout past `deadline`, a time.monotonic() value. None sets
-    no limit or no deadline."""
+    raises ResourceLimitError past `limit` units; it reads the clock at
+    every unit and raises Timeout past `deadline`, a time.monotonic() value.
+    None sets no limit or no deadline."""
 
     __slots__ = ("what", "unit", "limit", "deadline", "spent")
 
@@ -29,6 +28,5 @@ class Meter:
         self.spent += 1
         if self.limit is not None and self.spent > self.limit:
             raise ResourceLimitError(f"{self.what} exceeded {self.limit} {self.unit}")
-        if (self.deadline is not None and not self.spent % 256
-                and time.monotonic() > self.deadline):
+        if self.deadline is not None and time.monotonic() > self.deadline:
             raise Timeout(f"{self.what} passed the deadline")

@@ -101,10 +101,6 @@ def _cached_by_shape(build):
     return cached
 
 
-# rows handled between two spends of the candidate build's meter
-_CHUNK = 4096
-
-
 @_cached_by_shape
 def _candidates(arity: int, dim: int, coef_max: int, const_max: int,
                 weight_cap: int | None, deadline: float | None = None) -> _Candidates:
@@ -118,17 +114,12 @@ def _candidates(arity: int, dim: int, coef_max: int, const_max: int,
     prefixes grow one entry at a time, in lexicographic order, and each one
     keeps only its last entry and the index of its parent prefix, so a build
     costs time linear in the prefixes; the rows are gathered once, in a
-    stable sort by weight. Each chunk of rows spends one unit of a `Meter`
-    with no limit, so the build stops at the deadline.
+    stable sort by weight. Each level spends one unit of a `Meter` with no
+    limit after its numpy work, so the build stops at the deadline.
     """
     import numpy as np
 
-    spend = Meter("candidate build", "chunks", None, deadline).spend
-
-    def spend_rows(n: int) -> None:
-        for _ in range(0, n, _CHUNK):
-            spend()
-
+    spend = Meter("candidate build", "levels", None, deadline).spend
     matrix = [(1, coef_max)] + [(0, coef_max)] * (dim * dim - 1)
     bounds = matrix * arity + [(0, const_max)] * dim
     if weight_cap is None:
@@ -149,7 +140,7 @@ def _candidates(arity: int, dim: int, coef_max: int, const_max: int,
         entries = np.arange(len(parents)) - firsts
         totals = totals[parents] + entries
         levels.append((parents, entries.astype(small)))
-        spend_rows(len(parents))
+        spend()
     order = np.argsort(totals, kind="stable")
     # each entry's column in the final order, then one copy into rows
     columns = np.empty((len(bounds), len(order)), dtype=small)
@@ -158,7 +149,7 @@ def _candidates(arity: int, dim: int, coef_max: int, const_max: int,
         parents, entries = levels.pop()
         columns[i] = entries[rows]
         rows = parents[rows]
-        spend_rows(len(rows))
+        spend()
     flat = columns.T.astype(np.int64, order="C")
     split = arity * dim * dim
     mats = flat[:, :split].reshape(len(order), arity, dim, dim)

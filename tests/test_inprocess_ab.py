@@ -30,6 +30,18 @@ def test_summary():
     assert got == {"p50": 5.5, "p90": pytest.approx(9.9), "sum": 55.0}
 
 
+def test_setup_summary_keeps_the_least_and_the_median():
+    assert inprocess_ab.setup_summary([0.035, 0.028, 0.030, 0.041]) == {
+        "setup_s.min": 0.028, "setup_s.p50": pytest.approx(0.0325)}
+
+
+def test_report_rows_of_the_setup_seconds():
+    lines = inprocess_ab.report({"setup_s.min": 0.028, "setup_s.p50": 0.030},
+                                {"setup_s.min": 0.035, "setup_s.p50": 0.030})
+    assert lines[1].split() == ["setup_s.min", "28.000", "35.000", "+25.0%"]
+    assert lines[2].split() == ["setup_s.p50", "30.000", "30.000", "+0.0%"]
+
+
 def test_report_in_milliseconds_with_the_change_relative_to_the_parent():
     lines = inprocess_ab.report({"p50": 0.002, "sum": 0.5}, {"p50": 0.0015, "sum": 0.55})
     assert lines[0].split() == ["parent", "ms", "change", "ms", "change"]
@@ -55,6 +67,10 @@ def test_run_fresh_times_one_process_per_problem():
     passes = inprocess_ab.run_fresh(inprocess_ab.ROOT, [["--proof", ortho], [ortho]])
     assert len(passes) == 1 and len(passes[0]) == 2
     assert all(0 < s < 60 for s in passes[0])
+
+
+def test_run_setup_reads_the_setup_seconds_of_one_corpus_build():
+    assert 0 < inprocess_ab.run_setup(inprocess_ab.ROOT, "relterm") < 60
 
 
 def test_run_fresh_stops_at_a_failing_problem():

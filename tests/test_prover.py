@@ -104,9 +104,13 @@ class TestDdRelative:
 
 
 def test_dd_past_the_deadline_reports_timeout(stream_d, cfg):
-    # dd1 fails and dd2 succeeds on stream_d, so only the deadline explains the reason
+    # dd1 fails and dd2 succeeds on stream_d, so only the deadline explains the reason;
+    # a run in time builds the candidate tables and the joins are read in time, so
+    # the interpretation search is what the deadline stops
     for check in (check_dd_l1, check_dd_l2):
+        check(Analysis(stream_d, cfg))
         a = Analysis(stream_d, cfg)
+        assert isinstance(a.joins, list)
         a.deadline = time.monotonic()
         v = check(a)
         assert v.kind == "MAYBE" and v.details["reason"] == "timeout"
@@ -114,7 +118,7 @@ def test_dd_past_the_deadline_reports_timeout(stream_d, cfg):
 
 
 def test_join_search_past_the_deadline_reports_timeout():
-    # a search of 623 states, over the 256 between two readings of the clock;
+    # a search of 623 states, which the deadline stops at its first;
     # in time, rl answers YES and dd1 and dd2 fail on relative termination
     R = system("h(x) -> p(a,a,a,a)", "h(x) -> p(b,b,b,b)",
                "a -> b", "b -> a", "a -> c", "c -> b")
@@ -137,10 +141,15 @@ def test_precedence_search_past_the_deadline_reports_timeout(monkeypatch):
 
 
 def test_normalization_past_the_deadline_reports_timeout():
-    # the peak f(p) normalizes in 301 steps, over the 256 between two readings of the clock
+    # the peak f(p) normalizes in 301 steps, which the deadline stops at its first;
+    # the analysis is handed the termination shown in time, so normalization is
+    # what the deadline stops
     R = system("p -> " + "s(" * 300 + "0" + ")" * 300, "f(s(x)) -> f(x)", "f(p) -> f(0)")
     assert check_knuth_bendix(Analysis(R)).is_yes
+    termination = Analysis(R).terminates(R)
+    assert termination.is_yes
     a = Analysis(R)
+    a.terminates = lambda strict, weak=None: termination
     a.deadline = time.monotonic()
     v = check_knuth_bendix(a)
     assert v.kind == "MAYBE" and v.details["reason"] == "timeout"
@@ -180,8 +189,8 @@ class TestNonconfluence:
 
 
     def test_stops_at_the_deadline(self):
-        # the closure of q1 holds 302 terms, over the 256 between two readings
-        # of the clock; the pair of r, next in line, refutes confluence at once
+        # the closure of q1 holds 302 terms, which the deadline stops at its
+        # first; the pair of r, next in line, refutes confluence at once
         R = system("p -> q1", "p -> q2", "q1 -> f(" + "s(" * 300 + "0" + ")" * 301,
                    "f(s(x)) -> f(x)", "r -> a", "r -> b")
         assert check_nonconfluence(Analysis(R)).kind == "NO"
@@ -351,10 +360,13 @@ class TestSharedAnalysis:
             assert callable(getattr(importlib.import_module(module), attr, None)), paths[0]
 
 
-def test_join_search_over_its_budget_past_the_deadline_reports_the_budget():
-    # the budget stops the search at its 11th state, before the clock is read at the 256th
+def test_join_search_over_its_budget_reports_the_budget_and_past_the_deadline_timeout():
+    # in time, the budget stops the search at its 11th state; past the deadline,
+    # the clock stops it at its first
     R = system("h(x) -> p(a,a,a,a)", "h(x) -> p(b,b,b,b)",
                "a -> b", "b -> a", "a -> c", "c -> b")
     a = Analysis(R, Config(node_budget=10))
-    a.deadline = time.monotonic()
     assert a.joins == "joinability search hit the node budget at k=4"
+    a = Analysis(R, Config(node_budget=10))
+    a.deadline = time.monotonic()
+    assert a.joins == "timeout"

@@ -292,7 +292,7 @@ def test_closure_order_does_not_depend_on_the_hash_seed():
     assert outputs[0] == outputs[1]
 
 
-# 300 steps from f(s^300(0)) to f(0), over the 256 between two readings of the clock
+# 300 steps from f(s^300(0)) to f(0), which the deadline stops at the first
 COUNTDOWN = system("f(s(x)) -> f(x)")
 COUNTDOWN_START = term("f(" + "s(" * 300 + "0" + ")" * 301)
 

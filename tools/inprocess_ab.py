@@ -19,10 +19,16 @@ without bytecode caches: the `__pycache__` directories under each tree's
 
 Each problem keeps its least time over all passes and rounds of its tree.
 
+Each round also times the benchmark's set-up once per tree, in the round's
+order: `perfbench/corpus.py --workload WORKLOAD --seed 1` of this checkout,
+run in a fresh process with the tree's `src`, reports its `setup_s`. With
+no bytecode caches, that includes compiling the `ddrt` modules it imports.
+
 Prints, per tree, the p50, the p90 and the sum of those per-problem minima,
-and the change's figures relative to the parent's. A per-problem minimum
-drops most of the noise a shared host adds, so this reads a difference of a
-few per cent where whole benchmark runs spread too widely to tell.
+the least and the median `setup_s` over the rounds, and the change's
+figures relative to the parent's. A per-problem minimum drops most of the
+noise a shared host adds, so this reads a difference of a few per cent
+where whole benchmark runs spread too widely to tell.
 """
 
 from __future__ import annotations
@@ -108,6 +114,18 @@ def run_fresh(tree: Path, jobs: list[list[str]]) -> list[list[float]]:
     return [seconds]
 
 
+def run_setup(tree: Path, workload: str) -> float:
+    """The `setup_s` of one `perfbench/corpus.py` run, in a fresh process
+    that imports `ddrt` from tree."""
+    with tempfile.TemporaryDirectory() as out:
+        proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "corpus.py"),
+                               "--workload", workload, "--seed", "1", "--out", out],
+                              capture_output=True, text=True, env=child_env(tree), cwd=tree)
+    if proc.returncode != 0:
+        sys.exit(f"error: set-up in {tree} exited {proc.returncode}\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])["setup_s"]
+
+
 def sides(round_index: int) -> list[str]:
     """The order of the two trees in a round: the parent first in even rounds."""
     return ["parent", "change"] if round_index % 2 == 0 else ["change", "parent"]
@@ -125,12 +143,17 @@ def summary(seconds: list[float]) -> dict[str, float]:
             "sum": sum(seconds)}
 
 
+def setup_summary(seconds: list[float]) -> dict[str, float]:
+    """The least and the median `setup_s` of the rounds."""
+    return {"setup_s.min": min(seconds), "setup_s.p50": statistics.median(seconds)}
+
+
 def report(parent: dict[str, float], change: dict[str, float]) -> list[str]:
     """The table the tool prints, in milliseconds."""
-    lines = [f"{'':<8}{'parent ms':>12}{'change ms':>12}{'change':>9}"]
+    lines = [f"{'':<12}{'parent ms':>12}{'change ms':>12}{'change':>9}"]
     for name in parent:
         relative = (change[name] - parent[name]) / parent[name]
-        lines.append(f"{name:<8}{parent[name] * 1e3:>12.3f}{change[name] * 1e3:>12.3f}"
+        lines.append(f"{name:<12}{parent[name] * 1e3:>12.3f}{change[name] * 1e3:>12.3f}"
                      f"{relative:>+9.1%}")
     return lines
 
@@ -147,6 +170,7 @@ def main(argv=None) -> int:
         parser.error("at least 1 round is needed")
     trees = {"parent": args.base.resolve(), "change": ROOT}
     runs: dict[str, list[list[float]]] = {"parent": [], "change": []}
+    setups: dict[str, list[float]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
         corpus = Path(tmp) / args.workload
         jobs = [cli_argv(item, str(corpus / item["file"]))
@@ -156,14 +180,17 @@ def main(argv=None) -> int:
             clear_bytecode(tree)
         for i in range(args.rounds):
             for side in sides(i):
+                setups[side].append(run_setup(trees[side], args.workload))
                 runs[side] += (run_fresh(trees[side], jobs) if fresh
                                else run_tree(trees[side], jobs, PASSES))
                 print(f"round {i + 1} {side} done", file=sys.stderr, flush=True)
     passes = len(runs["parent"]) // args.rounds
     print(f"{args.workload}, seed 1, {len(jobs)} problems, least of "
           f"{args.rounds * passes} passes per problem ({args.rounds} rounds of {passes}"
-          f"{', one process per problem' if fresh else ''})")
-    for line in report(summary(minima(runs["parent"])), summary(minima(runs["change"]))):
+          f"{', one process per problem' if fresh else ''}), set-up once per round")
+    parent, change = ({**summary(minima(runs[side])), **setup_summary(setups[side])}
+                      for side in ("parent", "change"))
+    for line in report(parent, change):
         print(line)
     return 0
 
